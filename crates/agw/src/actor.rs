@@ -37,6 +37,7 @@ use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket}
 use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::{Guti, Imsi, Teid};
 use rand::RngCore;
+use serde::Serialize;
 use serde_json::json;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -197,12 +198,18 @@ impl AgwActor {
         Self::build(cfg, shared, SubscriberDb::new(), pool, SessionManager::new(), None)
     }
 
-    /// Restore a backup instance from a checkpoint (§3.3). Sessions, IP
-    /// leases, the config replica, and the bootstrap cert survive;
-    /// mid-procedure UE contexts do not.
-    pub fn restore(cfg: AgwConfig, shared: AgwHandle, cp: AgwCheckpoint) -> Self {
+    /// Restore a backup instance (§3.3): runtime state from the
+    /// checkpoint — sessions, IP leases, the bootstrap cert — and the
+    /// config replica from `config`, the orchestrator's desired state
+    /// (§3.2). Mid-procedure UE contexts do not survive.
+    pub fn restore(
+        cfg: AgwConfig,
+        shared: AgwHandle,
+        cp: AgwCheckpoint,
+        config: DbSnapshot,
+    ) -> Self {
         let mut db = SubscriberDb::new();
-        db.apply_snapshot(cp.db);
+        db.apply_snapshot(config);
         Self::build(cfg, shared, db, cp.pool, cp.sessions, cp.cert)
     }
 
@@ -1289,17 +1296,15 @@ impl AgwActor {
             taken_at_us: ctx.now().as_micros(),
             sessions: self.sessions.clone(),
             pool: self.pool.clone(),
-            db: self.db.snapshot(),
             cert: self.cert,
         };
-        // Publish locally (the backup instance's source) and upload to the
-        // orchestrator when connected.
+        // Upload to the orchestrator when connected (the backup
+        // instance's source) and publish locally for inspection.
         if let Some(client) = self.orc8r.as_mut() {
             if client.is_connected() {
                 let push = json!(orc8r_proto::CheckpointPush {
                     agw_id: cp.agw_id.clone(),
-                    // lint:allow(A002, reason = "Checkpoint derives Serialize with no map keys or non-string types that can fail; to_value on it is infallible")
-                    state: serde_json::to_value(&cp).expect("checkpoint serializes"),
+                    state: Serialize::to_json(&cp),
                 });
                 let id = client.call(ctx, &orc8r_proto::flows::CHECKPOINT, push);
                 self.calls.insert(id, CallKind::Checkpoint);

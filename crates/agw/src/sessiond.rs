@@ -11,7 +11,8 @@ use magma_policy::{
 };
 use magma_sim::SimTime;
 use magma_wire::{Imsi, Teid, UeIp};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
+use serde_json::json;
 use std::collections::BTreeMap;
 
 /// Radio access technology a session arrived on.
@@ -60,7 +61,10 @@ pub struct UsageOutcome {
 }
 
 /// The session table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The serialized form is the session list plus the id/TEID counters:
+/// the `by_imsi` and `by_ul_teid` indexes are rebuilt on deserialize.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionManager {
     sessions: BTreeMap<u64, Session>,
     by_imsi: BTreeMap<Imsi, u64>,
@@ -231,6 +235,43 @@ impl SessionManager {
     }
 }
 
+impl Serialize for SessionManager {
+    fn to_json(&self) -> Value {
+        json!({
+            "sessions": self.sessions.values().collect::<Vec<_>>(),
+            "next_id": self.next_id,
+            "next_teid": self.next_teid,
+            "attaches": self.attaches,
+            "detaches": self.detaches,
+        })
+    }
+}
+
+impl Deserialize for SessionManager {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        let field = |key: &str| {
+            v.get(key)
+                .ok_or_else(|| Error::msg(format!("missing field `{key}` in SessionManager")))
+        };
+        let mut m = SessionManager {
+            next_id: u64::from_json(field("next_id")?)?,
+            next_teid: u32::from_json(field("next_teid")?)?,
+            attaches: u64::from_json(field("attaches")?)?,
+            detaches: u64::from_json(field("detaches")?)?,
+            ..Default::default()
+        };
+        for s in Vec::<Session>::from_json(field("sessions")?)? {
+            if m.by_imsi.insert(s.imsi, s.id).is_some()
+                || m.by_ul_teid.insert(s.ul_teid, s.id).is_some()
+                || m.sessions.insert(s.id, s).is_some()
+            {
+                return Err(Error::msg("duplicate session id, IMSI or UL TEID"));
+            }
+        }
+        Ok(m)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,6 +371,20 @@ mod tests {
         // Refill unblocks.
         m.refill_credit(id, 1000, true);
         assert!(!m.get(id).unwrap().blocked);
+    }
+
+    #[test]
+    fn decode_rebuilds_indexes_and_rejects_duplicates() {
+        let (m, id) = mgr_with_session(PolicyRule::unrestricted("default"));
+        let mut v = serde_json::to_value(&m).unwrap();
+        let back: SessionManager = serde_json::from_value(v.clone()).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.by_imsi(imsi(1)).map(|s| s.id), Some(id));
+        let sessions = v["sessions"].as_array().unwrap().clone();
+        v.as_object_mut()
+            .unwrap()
+            .insert("sessions".into(), Value::Array([sessions.clone(), sessions].concat()));
+        assert!(serde_json::from_value::<SessionManager>(v).is_err());
     }
 
     #[test]

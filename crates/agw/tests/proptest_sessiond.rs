@@ -1,55 +1,97 @@
-//! Property tests on the session manager: index consistency, TEID
-//! uniqueness, and checkpoint-serialization fidelity under arbitrary
-//! attach/detach/usage interleavings.
+//! Property tests on the session manager and IP pool: index consistency,
+//! TEID uniqueness, pool conservation, and checkpoint restore-equivalence
+//! under arbitrary allocate/release/attach/detach/usage interleavings.
 
-use magma_agw::{AccessTech, SessionManager};
+use magma_agw::{AccessTech, AgwCheckpoint, IpPool, SessionManager};
 use magma_policy::PolicyRule;
 use magma_sim::SimTime;
-use magma_wire::{Imsi, Teid, UeIp};
+use magma_wire::{Imsi, Teid};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 enum Op {
+    /// Lease an address without a session (an attach still in flight).
+    Allocate(u64),
+    /// Return a lease that has no session (an attach that failed).
+    Release(u64),
+    /// Lease an address and create the session on it.
     Attach(u64),
+    /// Delete the session and return its lease.
     Detach(u64),
     Usage(u64, u64),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
+        (1u64..30).prop_map(Op::Allocate),
+        (1u64..30).prop_map(Op::Release),
         (1u64..30).prop_map(Op::Attach),
         (1u64..30).prop_map(Op::Detach),
         ((1u64..30), (0u64..1_000_000)).prop_map(|(n, b)| Op::Usage(n, b)),
     ]
 }
 
+/// Pool smaller than the IMSI space, so exhaustion is reachable.
+const POOL_BASE: u32 = 0x0A00_0002;
+const POOL_SIZE: u32 = 24;
+
+/// `allocated ∪ free` is exactly the pool range, with no overlap.
+fn pool_conserved(pool: &IpPool) {
+    let leased: Vec<u32> = pool.leases().map(|(_, ip)| ip.0).collect();
+    let free: Vec<u32> = pool.free_addrs().map(|ip| ip.0).collect();
+    let mut all = BTreeSet::new();
+    for a in leased.iter().chain(&free) {
+        prop_assert!(
+            all.insert(*a),
+            "address {a:#x} both leased and free, or leased twice"
+        );
+    }
+    prop_assert_eq!(all, pool.range().collect::<BTreeSet<u32>>());
+    prop_assert_eq!(pool.in_use(), leased.len());
+    prop_assert_eq!(pool.available(), free.len());
+}
+
 proptest! {
     #[test]
     fn indexes_stay_consistent(ops in proptest::collection::vec(arb_op(), 1..120)) {
         let mut m = SessionManager::new();
+        let mut pool = IpPool::new(POOL_BASE, POOL_SIZE);
         let mut t = 0u64;
         for op in ops {
             t += 1;
             let now = SimTime::from_secs(t);
             match op {
+                Op::Allocate(n) => {
+                    pool.allocate(Imsi::new(310, 26, n));
+                }
+                Op::Release(n) => {
+                    let imsi = Imsi::new(310, 26, n);
+                    if m.by_imsi(imsi).is_none() {
+                        pool.release(imsi);
+                    }
+                }
                 Op::Attach(n) => {
                     let imsi = Imsi::new(310, 26, n);
-                    let ul = m.alloc_teid();
-                    m.create(
-                        imsi,
-                        AccessTech::Lte,
-                        UeIp(1000 + n as u32),
-                        ul,
-                        Teid(0),
-                        PolicyRule::unrestricted("default"),
-                        now,
-                    );
+                    if let Some(ip) = pool.allocate(imsi) {
+                        let ul = m.alloc_teid();
+                        m.create(
+                            imsi,
+                            AccessTech::Lte,
+                            ip,
+                            ul,
+                            Teid(0),
+                            PolicyRule::unrestricted("default"),
+                            now,
+                        );
+                    }
                 }
                 Op::Detach(n) => {
-                    let id = m.by_imsi(Imsi::new(310, 26, n)).map(|s| s.id);
+                    let imsi = Imsi::new(310, 26, n);
+                    let id = m.by_imsi(imsi).map(|s| s.id);
                     if let Some(id) = id {
                         m.remove(id);
+                        pool.release(imsi);
                     }
                 }
                 Op::Usage(n, b) => {
@@ -60,7 +102,7 @@ proptest! {
                 }
             }
             // Invariants after every step:
-            // 1. At most one session per IMSI; indexes agree.
+            // 1. At most one session per IMSI; TEIDs unique; indexes agree.
             let mut imsis = BTreeSet::new();
             let mut teids = BTreeSet::new();
             for s in m.iter() {
@@ -68,6 +110,7 @@ proptest! {
                 prop_assert!(teids.insert(s.ul_teid), "duplicate UL TEID");
                 prop_assert_eq!(m.by_imsi(s.imsi).map(|x| x.id), Some(s.id));
                 prop_assert_eq!(m.by_ul_teid(s.ul_teid).map(|x| x.id), Some(s.id));
+                prop_assert_eq!(pool.lookup(s.imsi), Some(s.ue_ip), "session holds its lease");
             }
             // 2. Conservation of lifecycle counters.
             prop_assert_eq!(
@@ -75,10 +118,33 @@ proptest! {
                 m.len() as u64,
                 "created − removed == live"
             );
+            // 3. Pool conservation.
+            pool_conserved(&pool);
         }
-        // 3. Checkpoint round-trip preserves the whole table.
-        let json = serde_json::to_value(&m).unwrap();
-        let back: SessionManager = serde_json::from_value(json).unwrap();
-        prop_assert_eq!(back, m);
+        // 4. Checkpoint restore-equivalence: the slim wire form (no free
+        // set, no indexes) restores the live pool and session table.
+        let cp = AgwCheckpoint {
+            agw_id: "agw-1".into(),
+            taken_at_us: t * 1_000_000,
+            sessions: m,
+            pool,
+            cert: Some(1000),
+        };
+        let json = serde_json::to_value(&cp).unwrap();
+        let mut back: AgwCheckpoint = serde_json::from_value(json).unwrap();
+        prop_assert_eq!(&back.sessions, &cp.sessions);
+        prop_assert_eq!(&back.pool, &cp.pool);
+        prop_assert_eq!(&back, &cp);
+        pool_conserved(&back.pool);
+        let mut teids = BTreeSet::new();
+        for s in back.sessions.iter() {
+            prop_assert!(teids.insert(s.ul_teid), "restored UL TEIDs unique");
+            prop_assert_eq!(back.sessions.by_ul_teid(s.ul_teid).map(|x| x.id), Some(s.id));
+        }
+        // Lowest-free order survives: the next lease is the same address.
+        let mut live = cp.pool;
+        let next = Imsi::new(310, 26, 999);
+        let want = live.allocate(next);
+        prop_assert_eq!(back.pool.allocate(next), want);
     }
 }

@@ -241,8 +241,10 @@ pub const KNOWN_PREFIXES: &[&str] = &[
     "mme", "amf", "sessiond", "mobilityd", "pipelined", "dataplane", "metricsd", "cpu",
     // Orchestrator-side (reserved for a future orc8r-local registry).
     "orc8r",
-    // RAN-side (emulator-local) and the kernel's own instruments.
-    "ran", "sim",
+    // RAN-side (emulator-local), the RPC layer's transport counters
+    // (process-wide, not gateway-prefixed), and the kernel's own
+    // instruments.
+    "ran", "rpc", "sim",
 ];
 
 /// Known second-segment families under the kernel's `sim.` prefix —

@@ -437,8 +437,25 @@ mod tests {
 
     #[test]
     fn checkpoints_stored_per_gateway() {
+        use magma_agw::{AgwCheckpoint, IpPool, SessionManager};
+        let mut pool = IpPool::new(0x0A00_0002, 16);
+        pool.allocate(magma_wire::Imsi::new(310, 26, 1));
+        let cp = AgwCheckpoint {
+            agw_id: "agw-1".into(),
+            taken_at_us: 1_000_000,
+            sessions: SessionManager::new(),
+            pool,
+            cert: Some(1000),
+        };
+        let later = AgwCheckpoint {
+            taken_at_us: 2_000_000,
+            ..cp.clone()
+        };
         let mut s = Orc8rState::new(1);
-        s.store_checkpoint("agw-1", serde_json::json!({"sessions": 3}));
-        assert!(s.checkpoints.contains_key("agw-1"));
+        s.store_checkpoint("agw-1", serde_json::to_value(&cp).unwrap());
+        s.store_checkpoint("agw-1", serde_json::to_value(&later).unwrap());
+        assert_eq!(s.checkpoints.len(), 1, "one slot per gateway");
+        let back = AgwCheckpoint::from_json(&s.checkpoints["agw-1"]).unwrap();
+        assert_eq!(back, later, "the latest upload wins and decodes whole");
     }
 }

@@ -6,7 +6,7 @@
 //! client therefore retries aggressively across connection failures, which
 //! is what keeps the control plane usable over satellite-grade backhaul.
 
-use crate::codec::{encode_frame, Framer};
+use crate::codec::{count_malformed, encode_frame, Framer};
 use crate::msg::{RpcFrame, RpcKind};
 use magma_net::{flows, Endpoint, SockCmd, SockEvent, StreamHandle};
 use magma_sim::{ActorId, Ctx, FlowKind, Role, SimDuration, SimTime};
@@ -207,10 +207,11 @@ impl RpcClient {
             SockEvent::StreamRecv { handle, bytes }
                 if self.conn == ConnState::Open(handle) =>
             {
-                let frames = {
+                let (frames, malformed) = {
                     let _dec = ctx.profile_scope("rpc.decode");
                     self.framer.push(&bytes)
                 };
+                count_malformed(ctx, malformed);
                 let mut out = Vec::new();
                 for f in frames {
                     match f.kind {

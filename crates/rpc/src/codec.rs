@@ -6,6 +6,7 @@
 
 use crate::msg::RpcFrame;
 use bytes::{BufMut, Bytes, BytesMut};
+use magma_sim::Ctx;
 
 /// Encode one frame with its length prefix.
 pub fn encode_frame(frame: &RpcFrame) -> Bytes {
@@ -15,6 +16,15 @@ pub fn encode_frame(frame: &RpcFrame) -> Bytes {
     b.put_u32(body.len() as u32);
     b.put_slice(&body);
     b.freeze()
+}
+
+/// Count frames a [`Framer`] skipped as undecodable. Client and server
+/// share the counter; nothing is registered until a frame is dropped.
+pub(crate) fn count_malformed(ctx: &mut Ctx<'_>, malformed: u64) {
+    if malformed > 0 {
+        ctx.registry()
+            .counter_add("rpc.frames_malformed_total", malformed as f64);
+    }
 }
 
 /// Streaming reassembler for length-prefixed frames.
@@ -28,12 +38,13 @@ impl Framer {
         Self::default()
     }
 
-    /// Feed received bytes; returns all complete frames now available.
-    /// Malformed JSON inside a complete frame is skipped (and counted by
-    /// the caller via the returned error count if needed).
-    pub fn push(&mut self, bytes: &[u8]) -> Vec<RpcFrame> {
+    /// Feed received bytes; returns all complete frames now available and
+    /// the number of complete frames skipped because their body did not
+    /// decode (the caller exports that count).
+    pub fn push(&mut self, bytes: &[u8]) -> (Vec<RpcFrame>, u64) {
         self.buf.extend_from_slice(bytes);
         let mut out = Vec::new();
+        let mut malformed = 0;
         while let Some(&[b0, b1, b2, b3]) = self.buf.get(..4) {
             let len = u32::from_be_bytes([b0, b1, b2, b3]) as usize;
             if self.buf.len() < 4 + len {
@@ -41,11 +52,12 @@ impl Framer {
             }
             let _ = self.buf.split_to(4);
             let body = self.buf.split_to(len);
-            if let Ok(frame) = serde_json::from_slice::<RpcFrame>(&body) {
-                out.push(frame);
+            match serde_json::from_slice::<RpcFrame>(&body) {
+                Ok(frame) => out.push(frame),
+                Err(_) => malformed += 1,
             }
         }
-        out
+        (out, malformed)
     }
 
     /// Bytes currently buffered awaiting more data.
@@ -64,8 +76,9 @@ mod tests {
         let f = RpcFrame::request(7, "svc.Method", json!({"a": true}));
         let enc = encode_frame(&f);
         let mut fr = Framer::new();
-        let got = fr.push(&enc);
+        let (got, malformed) = fr.push(&enc);
         assert_eq!(got, vec![f]);
+        assert_eq!(malformed, 0);
         assert_eq!(fr.buffered(), 0);
     }
 
@@ -76,7 +89,7 @@ mod tests {
         let mut fr = Framer::new();
         let mut got = Vec::new();
         for chunk in enc.chunks(7) {
-            got.extend(fr.push(chunk));
+            got.extend(fr.push(chunk).0);
         }
         assert_eq!(got, vec![f]);
     }
@@ -91,7 +104,7 @@ mod tests {
         all.extend_from_slice(&encode_frame(&f2));
         all.extend_from_slice(&encode_frame(&f3));
         let mut fr = Framer::new();
-        let got = fr.push(&all);
+        let (got, _) = fr.push(&all);
         assert_eq!(got, vec![f1, f2, f3]);
     }
 
@@ -103,7 +116,8 @@ mod tests {
         let good = RpcFrame::response(2, json!("ok"));
         b.extend_from_slice(&encode_frame(&good));
         let mut fr = Framer::new();
-        let got = fr.push(&b);
+        let (got, malformed) = fr.push(&b);
         assert_eq!(got, vec![good]);
+        assert_eq!(malformed, 1, "the undecodable frame is counted");
     }
 }

@@ -250,6 +250,47 @@ mod tests {
     }
 
     #[test]
+    fn malformed_frames_are_counted_by_client_and_server() {
+        use bytes::{BufMut, BytesMut};
+        use magma_net::{NodeAddr, StreamHandle};
+        /// Feeds one undecodable frame to each end directly.
+        struct Garbage {
+            client: RpcClient,
+            server: RpcServer,
+        }
+        impl Actor for Garbage {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+                if !matches!(event, Event::Start) {
+                    return;
+                }
+                let mut b = BytesMut::new();
+                b.put_u32(3);
+                b.put_slice(b"???");
+                let bytes = b.freeze();
+                let (handle, peer) = (StreamHandle(1), Endpoint::new(NodeAddr(0), 1));
+                let opened = SockEvent::StreamOpened { handle, user: 1, peer };
+                assert!(self.client.try_handle(ctx, opened).is_ok());
+                let recv = SockEvent::StreamRecv { handle, bytes: bytes.clone() };
+                assert!(self.client.try_handle(ctx, recv).is_ok());
+                let accepted = SockEvent::StreamAccepted { handle, local_port: 8443, peer };
+                assert!(self.server.try_handle(ctx, accepted).is_ok());
+                let recv = SockEvent::StreamRecv { handle, bytes };
+                assert!(self.server.try_handle(ctx, recv).is_ok());
+            }
+        }
+        let mut w = World::new(5);
+        let net = new_net();
+        let a = net.borrow_mut().add_node("c");
+        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
+        w.add_actor(Box::new(Garbage {
+            client: RpcClient::new(sa, Endpoint::new(a, 8443), 1),
+            server: RpcServer::new(sa, 8443),
+        }));
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.registry().counter("rpc.frames_malformed_total"), 2.0);
+    }
+
+    #[test]
     fn calls_fail_after_deadline_when_partitioned() {
         let mut w = World::new(5);
         let net = new_net();

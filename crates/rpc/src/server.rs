@@ -1,7 +1,7 @@
 //! RPC server: accepts connections on a port, surfaces requests to the
 //! owning actor, and sends responses / push frames back.
 
-use crate::codec::{encode_frame, Framer};
+use crate::codec::{count_malformed, encode_frame, Framer};
 use crate::msg::{RpcFrame, RpcKind};
 use magma_net::{flows, SockCmd, SockEvent, StreamHandle};
 use magma_sim::{ActorId, Ctx, FlowKind, Role};
@@ -77,8 +77,12 @@ impl RpcServer {
             SockEvent::StreamRecv { handle, bytes } if self.conns.contains_key(&handle) => {
                 let mut out = Vec::new();
                 if let Some(framer) = self.conns.get_mut(&handle) {
-                    let _dec = ctx.profile_scope("rpc.decode");
-                    for f in framer.push(&bytes) {
+                    let (frames, malformed) = {
+                        let _dec = ctx.profile_scope("rpc.decode");
+                        framer.push(&bytes)
+                    };
+                    count_malformed(ctx, malformed);
+                    for f in frames {
                         if f.kind == RpcKind::Request {
                             out.push(RpcServerEvent::Request {
                                 conn: handle,

@@ -1,18 +1,20 @@
 //! **Ablation D** (§3.3): AGW failover via checkpoint/restore.
 //!
-//! The AGW checkpoints its runtime state every second; on failure, a
-//! backup instance is brought up from the checkpoint. Sessions and IP
-//! leases survive; only mid-procedure (volatile) UE contexts are lost.
-//! The experiment crashes the AGW (and its host network stack), restores
-//! from the latest checkpoint after an outage window, and measures how
-//! many sessions survived and how quickly traffic recovers.
+//! The AGW uploads its runtime state to the orchestrator every second;
+//! on failure, a backup instance is brought up from orc8r's stored copy
+//! of that checkpoint plus orc8r's desired-state subscriber DB (§3.2).
+//! Sessions and IP leases survive; only mid-procedure (volatile) UE
+//! contexts are lost. The experiment crashes the AGW (and its host
+//! network stack), restores from the latest uploaded checkpoint after an
+//! outage window, and measures how many sessions survived and how
+//! quickly traffic recovers.
 
 use crate::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
-use magma_agw::AgwActor;
+use magma_agw::{AgwActor, AgwCheckpoint};
 use magma_net::NetStack;
 use magma_ran::TrafficModel;
 use magma_sim::{SimDuration, SimTime};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize)]
 pub struct FailoverResult {
@@ -58,12 +60,6 @@ pub fn run(seed: u64) -> FailoverResult {
 
     // Crash the AGW and its node's network stack (the machine died).
     let agw = &sc.agws[0];
-    let checkpoint = agw
-        .handle
-        .borrow()
-        .checkpoint
-        .clone()
-        .expect("checkpoints are taken every second");
     sc.world.crash(agw.actor);
     sc.world.crash(agw.stack);
 
@@ -71,14 +67,24 @@ pub fn run(seed: u64) -> FailoverResult {
     sc.world
         .run_until(SimTime::from_secs(CRASH_AT_S + OUTAGE_S));
 
-    // Bring up the backup instance from the checkpoint.
+    // Bring up the backup instance from what orc8r holds: the last
+    // uploaded checkpoint and the desired-state config.
     let agw = &sc.agws[0];
+    let (checkpoint, config) = {
+        let orc8r = sc.orc8r.borrow();
+        let state = orc8r
+            .checkpoints
+            .get(&agw.cfg.id)
+            .expect("checkpoints are uploaded every second");
+        let checkpoint = AgwCheckpoint::from_json(state).expect("uploaded checkpoint decodes");
+        (checkpoint, orc8r.db.snapshot())
+    };
     sc.world.restart(
         agw.stack,
         // The node address is stable; the stack rebinds on Start.
         Box::new(NetStack::new(agw.node, sc.net.handle_of(agw.node))),
     );
-    let mut restored = AgwActor::restore(agw.cfg.clone(), agw.handle.clone(), checkpoint);
+    let mut restored = AgwActor::restore(agw.cfg.clone(), agw.handle.clone(), checkpoint, config);
     restored.set_up_cores(agw.up_cores);
     sc.world.restart(agw.actor, Box::new(restored));
 
