@@ -38,7 +38,6 @@ use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::{Guti, Imsi, Teid};
 use rand::RngCore;
 use serde::Serialize;
-use serde_json::json;
 use std::collections::{BTreeMap, VecDeque};
 
 // Timer tags.
@@ -568,13 +567,13 @@ impl AgwActor {
             // not sampled; inside a traced attach this is a no-op and
             // the round trip records as hops of the attach itself.
             ctx.trace_start("s6a_auth");
-            let req = json!(orc8r_proto::FegAuthRequest { imsi: imsi.0 });
+            let req = orc8r_proto::FegAuthRequest { imsi: imsi.0 };
             let id = self
                 .feg
                 .as_mut()
                 // lint:allow(A002, reason = "guarded by cfg.feg.is_some() above; the client is constructed whenever cfg.feg is set")
                 .expect("feg client in federated mode")
-                .call(ctx, &orc8r_proto::flows::FEG_AUTH, req);
+                .call(ctx, &orc8r_proto::flows::FEG_AUTH, &req);
             self.calls.insert(id, CallKind::FegAuth { ue });
             return;
         }
@@ -767,12 +766,12 @@ impl AgwActor {
             if let Some(s) = self.sessions.get_mut(sid) {
                 s.blocked = true;
             }
-            let req = json!(orc8r_proto::CreditRequest {
+            let req = orc8r_proto::CreditRequest {
                 imsi: imsi.0,
                 session_id: sid,
-            });
+            };
             if let Some(client) = self.orc8r.as_mut() {
-                let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
+                let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, &req);
                 self.calls.insert(id, CallKind::Credit { session: sid });
             }
         }
@@ -884,14 +883,14 @@ impl AgwActor {
             let m = self.metric("sessiond.closed");
             ctx.registry().counter_add(&m, 1.0);
             if let Some(credit) = &s.credit {
-                let report = json!(orc8r_proto::CreditReport {
+                let report = orc8r_proto::CreditReport {
                     imsi: s.imsi.0,
                     session_id: sid,
                     used_bytes: credit.used,
                     released_quota: credit.granted,
-                });
+                };
                 if let Some(client) = self.orc8r.as_mut() {
-                    let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REPORT, report);
+                    let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REPORT, &report);
                     self.calls.insert(id, CallKind::CreditReport);
                 }
             }
@@ -1232,12 +1231,12 @@ impl AgwActor {
             {
                 continue;
             }
-            let req = json!(orc8r_proto::CreditRequest {
+            let req = orc8r_proto::CreditRequest {
                 imsi: s.imsi.0,
                 session_id: sid,
-            });
+            };
             if let Some(client) = self.orc8r.as_mut() {
-                let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
+                let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, &req);
                 self.calls.insert(id, CallKind::Credit { session: sid });
             }
         }
@@ -1265,27 +1264,27 @@ impl AgwActor {
             let v = ctx.metrics().counter(&name);
             metrics.insert(key.to_string(), v);
         }
-        let req = json!(orc8r_proto::CheckinRequest {
+        let req = orc8r_proto::CheckinRequest {
             agw_id: self.cfg.id.clone(),
             cert,
             db_version: self.db.version,
             enbs,
             active_sessions: self.sessions.len() as u64,
             metrics,
-        });
+        };
         if let Some(client) = self.orc8r.as_mut() {
-            let id = client.call(ctx, &orc8r_proto::flows::CHECKIN, req);
+            let id = client.call(ctx, &orc8r_proto::flows::CHECKIN, &req);
             self.calls.insert(id, CallKind::Checkin);
         }
     }
 
     fn do_bootstrap(&mut self, ctx: &mut Ctx<'_>) {
-        let req = json!(orc8r_proto::BootstrapRequest {
+        let req = orc8r_proto::BootstrapRequest {
             agw_id: self.cfg.id.clone(),
             hw_token: self.cfg.hw_token,
-        });
+        };
         if let Some(client) = self.orc8r.as_mut() {
-            let id = client.call(ctx, &orc8r_proto::flows::BOOTSTRAP, req);
+            let id = client.call(ctx, &orc8r_proto::flows::BOOTSTRAP, &req);
             self.calls.insert(id, CallKind::Bootstrap);
         }
     }
@@ -1302,11 +1301,11 @@ impl AgwActor {
         // instance's source) and publish locally for inspection.
         if let Some(client) = self.orc8r.as_mut() {
             if client.is_connected() {
-                let push = json!(orc8r_proto::CheckpointPush {
+                let push = orc8r_proto::CheckpointPush {
                     agw_id: cp.agw_id.clone(),
                     state: Serialize::to_json(&cp),
-                });
-                let id = client.call(ctx, &orc8r_proto::flows::CHECKPOINT, push);
+                };
+                let id = client.call(ctx, &orc8r_proto::flows::CHECKPOINT, &push);
                 self.calls.insert(id, CallKind::Checkpoint);
             }
         }

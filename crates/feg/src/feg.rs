@@ -12,7 +12,6 @@ use crate::flows;
 use magma_sim::{downcast, Actor, ActorId, Ctx, Event, SimDuration, SimTime};
 use magma_wire::diameter::{DiameterPacket, ResultCode, S6aMessage};
 use magma_wire::Imsi;
-use serde_json::json;
 use std::collections::BTreeMap;
 
 /// A pending proxied request: the AGW-side RPC to answer when the MNO
@@ -109,51 +108,39 @@ impl FegActor {
         }
     }
 
+    /// Start proxying one request. An `Err` is the reason the caller
+    /// sends back as the single error reply.
     fn handle_request(
         &mut self,
         ctx: &mut Ctx<'_>,
         conn: StreamHandle,
         id: u64,
-        method: String,
+        method: &str,
         body: serde_json::Value,
-    ) {
-        match method.as_str() {
+    ) -> Result<(), String> {
+        let msg = match method {
             proto::methods::FEG_AUTH => {
-                let Ok(req) = serde_json::from_value::<FegAuthRequest>(body) else {
-                    self.server.reply_err(ctx, conn, id, &proto::flows::FEG_REPLY, "bad feg auth request");
-                    return;
-                };
-                self.proxy(
-                    ctx,
-                    conn,
-                    id,
-                    S6aMessage::AuthInfoRequest {
-                        imsi: Imsi(req.imsi),
-                        num_vectors: 1,
-                    },
-                );
+                let req: FegAuthRequest =
+                    serde_json::from_value(body).map_err(|_| "bad feg auth request")?;
+                S6aMessage::AuthInfoRequest {
+                    imsi: Imsi(req.imsi),
+                    num_vectors: 1,
+                }
             }
             proto::methods::FEG_UPDATE_LOCATION => {
-                let Ok(req) = serde_json::from_value::<proto::FegLocationRequest>(body) else {
-                    self.server.reply_err(ctx, conn, id, &proto::flows::FEG_REPLY, "bad feg location request");
-                    return;
-                };
+                let req: proto::FegLocationRequest =
+                    serde_json::from_value(body).map_err(|_| "bad feg location request")?;
                 // Serving-node id derived from the gateway id hash.
                 let node = req.agw_id.bytes().map(|b| b as u32).sum::<u32>();
-                self.proxy(
-                    ctx,
-                    conn,
-                    id,
-                    S6aMessage::UpdateLocationRequest {
-                        imsi: Imsi(req.imsi),
-                        serving_node: node,
-                    },
-                );
+                S6aMessage::UpdateLocationRequest {
+                    imsi: Imsi(req.imsi),
+                    serving_node: node,
+                }
             }
-            other => self
-                .server
-                .reply_err(ctx, conn, id, &proto::flows::FEG_REPLY, &format!("unknown method {other}")),
-        }
+            other => return Err(format!("unknown method {other}")),
+        };
+        self.proxy(ctx, conn, id, msg);
+        Ok(())
     }
 
     fn handle_diameter_answer(&mut self, ctx: &mut Ctx<'_>, pkt: DiameterPacket) {
@@ -174,7 +161,7 @@ impl FegActor {
                             })
                             .collect(),
                     };
-                    self.server.reply(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, json!(resp));
+                    self.server.reply(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, &resp);
                 } else {
                     self.server
                         .reply_err(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, "subscriber unknown at MNO");
@@ -190,7 +177,7 @@ impl FegActor {
                     ambr_dl_kbps,
                     ambr_ul_kbps,
                 };
-                self.server.reply(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, json!(resp));
+                self.server.reply(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, &resp);
             }
             _ => {
                 self.server.reply_err(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, "unexpected answer");
@@ -250,7 +237,9 @@ impl Actor for FegActor {
                                     body,
                                 } = e
                                 {
-                                    self.handle_request(ctx, conn, id, method, body);
+                                    if let Err(e) = self.handle_request(ctx, conn, id, &method, body) {
+                                        self.server.reply_err(ctx, conn, id, &proto::flows::FEG_REPLY, &e);
+                                    }
                                 }
                             }
                         }

@@ -55,34 +55,32 @@ impl Orc8rActor {
         }
     }
 
+    /// Serve one request. An `Err` is the reason the caller sends back
+    /// as the single error reply.
     fn handle_request(
         &mut self,
         ctx: &mut Ctx<'_>,
         conn: StreamHandle,
         id: u64,
-        method: String,
+        method: &str,
         body: serde_json::Value,
-    ) {
+    ) -> Result<(), String> {
         let now = ctx.now();
-        match method.as_str() {
+        match method {
             methods::BOOTSTRAP => {
-                let Ok(req) = serde_json::from_value::<BootstrapRequest>(body) else {
-                    self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad bootstrap request");
-                    return;
-                };
+                let req: BootstrapRequest =
+                    serde_json::from_value(body).map_err(|_| "bad bootstrap request")?;
                 let cert = self.state.borrow_mut().bootstrap(&req.agw_id, req.hw_token);
                 if let Some(info) = self.conns.get_mut(&conn) {
                     info.agw_id = Some(req.agw_id.clone());
                 }
                 ctx.metrics().inc("orc8r.bootstraps", 1.0);
                 self.server
-                    .reply(ctx, conn, id, &flows::ORC8R_REPLY, json!(BootstrapResponse { cert }));
+                    .reply(ctx, conn, id, &flows::ORC8R_REPLY, &BootstrapResponse { cert });
             }
             methods::CHECKIN => {
-                let Ok(req) = serde_json::from_value::<CheckinRequest>(body) else {
-                    self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad checkin request");
-                    return;
-                };
+                let req: CheckinRequest =
+                    serde_json::from_value(body).map_err(|_| "bad checkin request")?;
                 let mut st = self.state.borrow_mut();
                 let ok = st.record_checkin(
                     &req.agw_id,
@@ -94,9 +92,7 @@ impl Orc8rActor {
                     now,
                 );
                 if !ok {
-                    drop(st);
-                    self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "unregistered gateway");
-                    return;
+                    return Err("unregistered gateway".into());
                 }
                 if let Some(info) = self.conns.get_mut(&conn) {
                     info.agw_id = Some(req.agw_id.clone());
@@ -115,23 +111,19 @@ impl Orc8rActor {
                 };
                 drop(st);
                 ctx.metrics().inc("orc8r.checkins", 1.0);
-                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, json!(resp));
+                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, &resp);
             }
             methods::CHECKPOINT => {
-                let Ok(req) = serde_json::from_value::<CheckpointPush>(body) else {
-                    self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad checkpoint");
-                    return;
-                };
+                let req: CheckpointPush =
+                    serde_json::from_value(body).map_err(|_| "bad checkpoint")?;
                 self.state
                     .borrow_mut()
                     .store_checkpoint(&req.agw_id, req.state);
-                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, json!({}));
+                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, &json!({}));
             }
             methods::CREDIT_REQUEST => {
-                let Ok(req) = serde_json::from_value::<CreditRequest>(body) else {
-                    self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad credit request");
-                    return;
-                };
+                let req: CreditRequest =
+                    serde_json::from_value(body).map_err(|_| "bad credit request")?;
                 let answer = self
                     .state
                     .borrow_mut()
@@ -150,25 +142,21 @@ impl Orc8rActor {
                     },
                 };
                 ctx.metrics().inc("orc8r.ocs.requests", 1.0);
-                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, json!(resp));
+                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, &resp);
             }
             methods::CREDIT_REPORT => {
-                let Ok(req) = serde_json::from_value::<CreditReport>(body) else {
-                    self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad credit report");
-                    return;
-                };
+                let req: CreditReport =
+                    serde_json::from_value(body).map_err(|_| "bad credit report")?;
                 self.state.borrow_mut().ocs.report_usage(
                     magma_wire::Imsi(req.imsi),
                     req.used_bytes,
                     req.released_quota,
                 );
-                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, json!({}));
+                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, &json!({}));
             }
             methods::METRICS_PUSH => {
-                let Ok(req) = serde_json::from_value::<MetricsPush>(body) else {
-                    self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad metrics push");
-                    return;
-                };
+                let req: MetricsPush =
+                    serde_json::from_value(body).map_err(|_| "bad metrics push")?;
                 let (accepted, last_seq) = {
                     let mut st = self.state.borrow_mut();
                     let taken_at = magma_sim::SimTime(req.taken_at_us);
@@ -193,13 +181,11 @@ impl Orc8rActor {
                 };
                 ctx.metrics().inc("orc8r.metrics_pushes", 1.0);
                 self.server
-                    .reply(ctx, conn, id, &flows::ORC8R_REPLY, json!(MetricsAck { accepted, last_seq }));
+                    .reply(ctx, conn, id, &flows::ORC8R_REPLY, &MetricsAck { accepted, last_seq });
             }
-            other => {
-                self.server
-                    .reply_err(ctx, conn, id, &flows::ORC8R_REPLY, &format!("unknown method {other}"));
-            }
+            other => return Err(format!("unknown method {other}")),
         }
+        Ok(())
     }
 
     /// Push the latest snapshot to any connected gateway whose replica is
@@ -221,7 +207,7 @@ impl Orc8rActor {
                 conn,
                 version,
                 &flows::PUSH_SUBSCRIBERS,
-                json!(snapshot),
+                &snapshot,
             ) {
                 if let Some(info) = self.conns.get_mut(&conn) {
                     info.last_pushed_version = version;
@@ -261,7 +247,11 @@ impl Actor for Orc8rActor {
                                     id,
                                     method,
                                     body,
-                                } => self.handle_request(ctx, conn, id, method, body),
+                                } => {
+                                    if let Err(e) = self.handle_request(ctx, conn, id, &method, body) {
+                                        self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, &e);
+                                    }
+                                }
                                 RpcServerEvent::ClientConnected { conn } => {
                                     self.conns.insert(
                                         conn,
@@ -286,5 +276,109 @@ impl Actor for Orc8rActor {
 
     fn name(&self) -> String {
         "orc8r".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::new_orc8r;
+    use magma_net::{new_net, ports, Endpoint, LinkProfile, NetStack};
+    use magma_rpc::{RpcClient, RpcClientEvent};
+    use magma_sim::{DelayClass, FlowKind, Role, SimTime, World};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    const NO_SUCH: FlowKind = FlowKind {
+        name: "orc8r.NoSuch",
+        sender: "test.caller",
+        receiver: "orc8r",
+        class: DelayClass::Transport,
+        role: Role::Request,
+        retry: Some("test.caller.tick"),
+        lookahead: None,
+    };
+
+    /// Call ids in issue order, and the failure reason of each.
+    #[derive(Default)]
+    struct Log {
+        ids: Vec<u64>,
+        reasons: BTreeMap<u64, String>,
+    }
+
+    /// Issues one malformed bootstrap, one check-in with a wrong cert and
+    /// one call to an unknown method.
+    struct Caller {
+        client: RpcClient,
+        cert: u64,
+        log: Rc<RefCell<Log>>,
+    }
+
+    impl Actor for Caller {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+            match event {
+                Event::Start => {
+                    let bad_bootstrap = json!({ "nope": 1 });
+                    let wrong_cert = CheckinRequest {
+                        agw_id: "gw1".into(),
+                        cert: self.cert + 1,
+                        db_version: 0,
+                        enbs: Vec::new(),
+                        active_sessions: 0,
+                        metrics: BTreeMap::new(),
+                    };
+                    let ids = vec![
+                        self.client.call(ctx, &flows::BOOTSTRAP, &bad_bootstrap),
+                        self.client.call(ctx, &flows::CHECKIN, &wrong_cert),
+                        self.client.call(ctx, &NO_SUCH, &json!({})),
+                    ];
+                    self.log.borrow_mut().ids = ids;
+                }
+                Event::Msg { payload, .. } => {
+                    let ev = downcast::<SockEvent>(payload, "caller");
+                    for e in self.client.try_handle(ctx, ev).unwrap_or_default() {
+                        if let RpcClientEvent::Failed { id, reason } = e {
+                            self.log.borrow_mut().reasons.insert(id, reason);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn bad_requests_get_one_error_reply_each() {
+        let mut w = World::new(3);
+        let net = new_net();
+        let (a, b) = {
+            let mut t = net.borrow_mut();
+            let a = t.add_node("gw");
+            let b = t.add_node("orc8r");
+            t.connect(a, b, LinkProfile::lan());
+            (a, b)
+        };
+        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
+        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let state = new_orc8r(0);
+        let cert = state.borrow_mut().bootstrap("gw1", 7);
+        w.add_actor(Box::new(Orc8rActor::new(state, sb, ports::ORC8R)));
+        let log = Rc::new(RefCell::new(Log::default()));
+        w.add_actor(Box::new(Caller {
+            client: RpcClient::new(sa, Endpoint::new(b, ports::ORC8R), 1),
+            cert,
+            log: log.clone(),
+        }));
+        w.run_until(SimTime::from_secs(2));
+        let log = log.borrow();
+        let reasons: Vec<_> = log.ids.iter().map(|id| log.reasons.get(id).cloned()).collect();
+        assert_eq!(
+            reasons,
+            [
+                Some("bad bootstrap request".to_string()),
+                Some("unregistered gateway".to_string()),
+                Some("unknown method orc8r.NoSuch".to_string()),
+            ]
+        );
     }
 }

@@ -5,11 +5,15 @@
 //! (§3.4): re-sending "the set of sessions is X, Y, Z" is idempotent. The
 //! client therefore retries aggressively across connection failures, which
 //! is what keeps the control plane usable over satellite-grade backhaul.
+//! Request bodies go in typed and are encoded once, when the call is
+//! issued, so a retry resends the same bytes; replies come out as a `Value`.
 
 use crate::codec::{count_malformed, encode_frame, Framer};
 use crate::msg::{RpcFrame, RpcKind};
+use bytes::Bytes;
 use magma_net::{flows, Endpoint, SockCmd, SockEvent, StreamHandle};
 use magma_sim::{ActorId, Ctx, FlowKind, Role, SimDuration, SimTime};
+use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -37,8 +41,9 @@ enum ConnState {
 }
 
 struct Pending {
-    method: String,
-    body: Value,
+    /// The encoded request frame, length prefix included.
+    frame: Bytes,
+    method: &'static str,
     deadline: SimTime,
     retries_left: u32,
     per_try: SimDuration,
@@ -80,8 +85,6 @@ pub struct RpcClient {
     outstanding: BTreeMap<u64, Pending>,
     /// Calls issued while disconnected, flushed on connect (ids).
     unsent: Vec<u64>,
-    pub calls_sent: u64,
-    pub retries: u64,
 }
 
 impl RpcClient {
@@ -98,8 +101,6 @@ impl RpcClient {
             next_id: 1,
             outstanding: BTreeMap::new(),
             unsent: Vec::new(),
-            calls_sent: 0,
-            retries: 0,
         }
     }
 
@@ -133,14 +134,20 @@ impl RpcClient {
     }
 
     /// Issue a unary call. Returns the call id; the owner will receive a
-    /// `Response` or `Failed` event for it later.
+    /// `Response` or `Failed` event for it later. The request frame is
+    /// encoded here, once; every (re)transmission sends the same bytes.
     ///
     /// The flow kind carries the wire method name and declares the edge's
     /// place in the message-flow graph (`docs/MESSAGE_FLOW.md`); every
     /// unary call must be a `Request`-role kind with a registered retry
     /// timer, which is exactly what the client's deadline/retry machinery
     /// provides (lint rule F004 audits the declaration side).
-    pub fn call(&mut self, ctx: &mut Ctx<'_>, kind: &'static FlowKind, body: Value) -> u64 {
+    pub fn call(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        kind: &'static FlowKind,
+        body: &impl Serialize,
+    ) -> u64 {
         debug_assert!(
             kind.role == Role::Request && kind.retry.is_some(),
             "RPC calls must use a Request-role flow kind with a retry edge, got {}",
@@ -148,12 +155,16 @@ impl RpcClient {
         );
         let id = self.next_id;
         self.next_id += 1;
+        let frame = {
+            let _enc = ctx.profile_scope("rpc.encode");
+            encode_frame(&RpcFrame::request(id, kind.name, body.to_json()))
+        };
         let now = ctx.now();
         self.outstanding.insert(
             id,
             Pending {
-                method: kind.name.to_string(),
-                body,
+                frame,
+                method: kind.name,
                 deadline: now + self.cfg.total_timeout,
                 retries_left: self.cfg.max_retries,
                 per_try: self.cfg.per_try_timeout,
@@ -173,19 +184,16 @@ impl RpcClient {
         let Some(p) = self.outstanding.get(&id) else {
             return;
         };
-        let frame = RpcFrame::request(id, &p.method, p.body.clone());
-        self.calls_sent += 1;
-        let bytes = {
-            let _enc = ctx.profile_scope("rpc.encode");
-            encode_frame(&frame)
-        };
         // The method is a logical shard cut edge; it rides inside the
-        // stream payload, so shardscope samples it here at encode time.
-        ctx.shard_logical(&p.method, bytes.len());
+        // stream payload, so shardscope samples it on every transmit.
+        ctx.shard_logical(p.method, p.frame.len());
         ctx.send_to(
             self.stack,
             &flows::SOCK_CMD,
-            Box::new(SockCmd::StreamSend { handle, bytes }),
+            Box::new(SockCmd::StreamSend {
+                handle,
+                bytes: p.frame.clone(),
+            }),
         );
     }
 
@@ -278,7 +286,6 @@ impl RpcClient {
             });
         }
         if !to_retry.is_empty() {
-            self.retries += to_retry.len() as u64;
             self.ensure_conn(ctx);
             if let ConnState::Open(h) = self.conn {
                 for id in to_retry {

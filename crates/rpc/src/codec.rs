@@ -7,14 +7,14 @@
 use crate::msg::RpcFrame;
 use bytes::{BufMut, Bytes, BytesMut};
 use magma_sim::Ctx;
+use serde::Serialize;
 
 /// Encode one frame with its length prefix.
 pub fn encode_frame(frame: &RpcFrame) -> Bytes {
-    // lint:allow(A002, reason = "RpcFrame is a plain struct of strings/ints/Value; serde_json::to_vec on it is infallible")
-    let body = serde_json::to_vec(frame).expect("RpcFrame serializes");
+    let body = frame.to_json().to_string();
     let mut b = BytesMut::with_capacity(4 + body.len());
     b.put_u32(body.len() as u32);
-    b.put_slice(&body);
+    b.put_slice(body.as_bytes());
     b.freeze()
 }
 

@@ -77,7 +77,7 @@ mod tests {
                             {
                                 match method.as_str() {
                                     "echo.Echo" => {
-                                        self.server.reply(ctx, conn, id, &ECHO_REPLY, body)
+                                        self.server.reply(ctx, conn, id, &ECHO_REPLY, &body)
                                     }
                                     _ => self.server.reply_err(
                                         ctx,
@@ -134,7 +134,7 @@ mod tests {
                     if self.sent < self.n => {
                         self.sent += 1;
                         let v = self.sent;
-                        self.client.call(ctx, &ECHO, json!({ "v": v }));
+                        self.client.call(ctx, &ECHO, &json!({ "v": v }));
                         ctx.timer_in(self.interval, 1);
                     }
                 Event::Timer { tag: 2 } => {
@@ -207,7 +207,7 @@ mod tests {
             fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
                 match event {
                     Event::Start => {
-                        self.client.call(ctx, &ECHO_NO_SUCH, json!(null));
+                        self.client.call(ctx, &ECHO_NO_SUCH, &json!(null));
                     }
                     Event::Msg { payload, .. } => {
                         let ev = downcast::<SockEvent>(payload, "bad-caller");

@@ -4,6 +4,8 @@
 //! gRPC's HTTP/2 frames carrying protobuf. JSON keeps the simulated wire
 //! self-describing and debuggable; the framing and delivery semantics
 //! (ordered, reliable, multiplexed by id) are what matter for fidelity.
+//! Bodies are typed (`&impl Serialize`) going in and a [`Value`] coming
+//! out, which the receiver decodes into its own type.
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;

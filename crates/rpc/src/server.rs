@@ -1,10 +1,13 @@
 //! RPC server: accepts connections on a port, surfaces requests to the
 //! owning actor, and sends responses / push frames back.
+//! Reply and push bodies go in typed and are converted and encoded inside
+//! the `rpc.encode` scope; request bodies come out as a `Value`.
 
 use crate::codec::{count_malformed, encode_frame, Framer};
 use crate::msg::{RpcFrame, RpcKind};
 use magma_net::{flows, SockCmd, SockEvent, StreamHandle};
 use magma_sim::{ActorId, Ctx, FlowKind, Role};
+use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -31,7 +34,6 @@ pub struct RpcServer {
     stack: ActorId,
     port: u16,
     conns: BTreeMap<StreamHandle, Framer>,
-    pub requests_served: u64,
 }
 
 impl RpcServer {
@@ -40,7 +42,6 @@ impl RpcServer {
             stack,
             port,
             conns: BTreeMap::new(),
-            requests_served: 0,
         }
     }
 
@@ -93,7 +94,6 @@ impl RpcServer {
                         }
                     }
                 }
-                self.requests_served += out.len() as u64;
                 Ok(out)
             }
             SockEvent::StreamClosed { handle, .. } if self.conns.contains_key(&handle) => {
@@ -113,14 +113,14 @@ impl RpcServer {
         conn: StreamHandle,
         id: u64,
         kind: &'static FlowKind,
-        body: Value,
+        body: &impl Serialize,
     ) {
         debug_assert!(
             kind.role == Role::Response,
             "RPC replies must use a Response-role flow kind, got {}",
             kind.name
         );
-        self.send_frame(ctx, conn, kind, RpcFrame::response(id, body));
+        self.send_frame(ctx, conn, kind, || RpcFrame::response(id, body.to_json()));
     }
 
     /// Send an application error (same `Response` edge as [`reply`](Self::reply)).
@@ -137,7 +137,7 @@ impl RpcServer {
             "RPC replies must use a Response-role flow kind, got {}",
             kind.name
         );
-        self.send_frame(ctx, conn, kind, RpcFrame::error(id, msg));
+        self.send_frame(ctx, conn, kind, || RpcFrame::error(id, msg));
     }
 
     /// Push an unsolicited frame (desired-state sync) to a connected
@@ -149,12 +149,14 @@ impl RpcServer {
         conn: StreamHandle,
         stream_id: u64,
         kind: &'static FlowKind,
-        body: Value,
+        body: &impl Serialize,
     ) -> bool {
         if !self.conns.contains_key(&conn) {
             return false;
         }
-        self.send_frame(ctx, conn, kind, RpcFrame::push(stream_id, kind.name, body));
+        self.send_frame(ctx, conn, kind, || {
+            RpcFrame::push(stream_id, kind.name, body.to_json())
+        });
         true
     }
 
@@ -168,11 +170,12 @@ impl RpcServer {
         ctx: &mut Ctx<'_>,
         conn: StreamHandle,
         kind: &'static FlowKind,
-        frame: RpcFrame,
+        frame: impl FnOnce() -> RpcFrame,
     ) {
+        // `frame` converts the body, so its cost is charged to rpc.
         let bytes = {
             let _enc = ctx.profile_scope("rpc.encode");
-            encode_frame(&frame)
+            encode_frame(&frame())
         };
         // Reply/push edges are logical shard cut edges; they ride inside
         // the stream payload, so shardscope samples them at encode time.

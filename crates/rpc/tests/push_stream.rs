@@ -55,7 +55,7 @@ impl Actor for Pusher {
                 let conns: Vec<_> = self.server.clients().collect();
                 for c in conns {
                     self.server
-                        .push(ctx, c, 1, &SYNC_TICK, json!({ "seq": self.seq }));
+                        .push(ctx, c, 1, &SYNC_TICK, &json!({ "seq": self.seq }));
                 }
                 ctx.timer_in(SimDuration::from_millis(100), 1);
             }
@@ -65,7 +65,7 @@ impl Actor for Pusher {
                 if let Ok(events) = self.server.try_handle(ctx, ev) {
                     for e in events {
                         if let RpcServerEvent::Request { conn, id, .. } = e {
-                            self.server.reply(ctx, conn, id, &HELLO_REPLY, json!("ok"));
+                            self.server.reply(ctx, conn, id, &HELLO_REPLY, &"ok");
                         }
                     }
                 }
@@ -84,7 +84,7 @@ impl Actor for Subscriber {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {
-                self.client.call(ctx, &HELLO, json!(null));
+                self.client.call(ctx, &HELLO, &json!(null));
                 ctx.timer_in(SimDuration::from_millis(250), 1);
             }
             Event::Timer { .. } => {

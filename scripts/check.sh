@@ -101,6 +101,24 @@ else
     }
     echo "shard report matches golden"
 fi
+
+echo "==> paper figures golden diff"
+# The paper_figures example regenerates every paper table and figure
+# from fixed seeds, so its stdout is deterministic and is pinned byte for
+# byte (installed on first run like the others). After an intentional
+# change to a figure, delete the golden and re-run.
+FIGURES_GOLDEN="scripts/golden/paper_figures.txt"
+cargo run --release --example paper_figures >"$BENCH_OUT/paper_figures.txt"
+if [[ -f "$FIGURES_GOLDEN" ]]; then
+    diff -u "$FIGURES_GOLDEN" "$BENCH_OUT/paper_figures.txt" || {
+        echo "paper figures drifted from $FIGURES_GOLDEN" >&2
+        exit 1
+    }
+    echo "paper figures match golden"
+else
+    cp "$BENCH_OUT/paper_figures.txt" "$FIGURES_GOLDEN"
+    echo "installed new paper figures golden at $FIGURES_GOLDEN"
+fi
 rm -rf "$BENCH_OUT"
 
 # Replay the lint summary last so the allow/violation counts are the
