@@ -15,7 +15,7 @@
 //! parallelism, and user-plane forwarding costs core time proportional to
 //! bytes. These are what saturate in Figures 5–8.
 
-use crate::checkpoint::AgwCheckpoint;
+use crate::checkpoint::{self, AgwCheckpoint};
 use crate::config::AgwConfig;
 use crate::flows;
 use crate::mobilityd::IpPool;
@@ -25,7 +25,7 @@ use crate::sessiond::{AccessTech, SessionManager};
 use magma_dataplane::Pipeline;
 use magma_net::{lp_encode, ports, LpFramer, SockCmd, SockEvent, StreamHandle};
 use magma_orc8r::proto as orc8r_proto;
-use magma_rpc::{RpcClient, RpcClientConfig, RpcClientEvent};
+use magma_rpc::{decode, RpcClient, RpcClientConfig, RpcClientEvent};
 use magma_sim::eventd::kind as event_kind;
 use magma_sim::{
     downcast, try_downcast, Actor, ActorId, Ctx, Event, Severity, SimDuration, SimTime, Span,
@@ -37,7 +37,6 @@ use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket}
 use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::{Guti, Imsi, Teid};
 use rand::RngCore;
-use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 
 // Timer tags.
@@ -1290,26 +1289,21 @@ impl AgwActor {
     }
 
     fn take_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
-        let cp = AgwCheckpoint {
-            agw_id: self.cfg.id.clone(),
-            taken_at_us: ctx.now().as_micros(),
-            sessions: self.sessions.clone(),
-            pool: self.pool.clone(),
-            cert: self.cert,
-        };
+        // Encoded once, straight from the live tables.
+        let state = checkpoint::encode(&self.cfg.id, ctx.now(), &self.sessions, &self.pool, self.cert);
         // Upload to the orchestrator when connected (the backup
         // instance's source) and publish locally for inspection.
         if let Some(client) = self.orc8r.as_mut() {
             if client.is_connected() {
                 let push = orc8r_proto::CheckpointPush {
-                    agw_id: cp.agw_id.clone(),
-                    state: Serialize::to_json(&cp),
+                    agw_id: self.cfg.id.clone(),
+                    state: state.clone(),
                 };
                 let id = client.call(ctx, &orc8r_proto::flows::CHECKPOINT, &push);
                 self.calls.insert(id, CallKind::Checkpoint);
             }
         }
-        self.shared.borrow_mut().checkpoint = Some(cp);
+        self.shared.borrow_mut().checkpoint = Some(state);
         ctx.timer_in(self.cfg.checkpoint_interval, T_CHECKPOINT);
     }
 
@@ -1322,16 +1316,16 @@ impl AgwActor {
                     };
                     match kind {
                         CallKind::Bootstrap => {
-                            if let Ok(resp) =
-                                serde_json::from_value::<orc8r_proto::BootstrapResponse>(body)
+                            if let Some(resp) =
+                                decode::<orc8r_proto::BootstrapResponse>(ctx, &body)
                             {
                                 self.cert = Some(resp.cert);
                                 self.do_checkin(ctx);
                             }
                         }
                         CallKind::Checkin => {
-                            if let Ok(resp) =
-                                serde_json::from_value::<orc8r_proto::CheckinResponse>(body)
+                            if let Some(resp) =
+                                decode::<orc8r_proto::CheckinResponse>(ctx, &body)
                             {
                                 if let Some(snap) = resp.snapshot {
                                     self.db.apply_snapshot(snap);
@@ -1341,8 +1335,8 @@ impl AgwActor {
                             }
                         }
                         CallKind::Credit { session } => {
-                            if let Ok(resp) =
-                                serde_json::from_value::<orc8r_proto::CreditResponse>(body)
+                            if let Some(resp) =
+                                decode::<orc8r_proto::CreditResponse>(ctx, &body)
                             {
                                 if resp.denied {
                                     if let Some(s) = self.sessions.get_mut(session) {
@@ -1356,9 +1350,9 @@ impl AgwActor {
                             }
                         }
                         CallKind::FegAuth { ue } => {
-                            match serde_json::from_value::<orc8r_proto::FegAuthResponse>(body) {
-                                Ok(resp) => self.on_feg_vectors(ctx, ue, resp),
-                                Err(_) => self.fail_attach(ctx, ue, EmmCause::AuthFailure),
+                            match decode::<orc8r_proto::FegAuthResponse>(ctx, &body) {
+                                Some(resp) => self.on_feg_vectors(ctx, ue, resp),
+                                None => self.fail_attach(ctx, ue, EmmCause::AuthFailure),
                             }
                         }
                         CallKind::Checkpoint | CallKind::CreditReport => {}
@@ -1398,7 +1392,7 @@ impl AgwActor {
                     method, body, ..
                 } => {
                     if method == orc8r_proto::methods::PUSH_SUBSCRIBERS {
-                        if let Ok(snap) = serde_json::from_value::<DbSnapshot>(body) {
+                        if let Some(snap) = decode::<DbSnapshot>(ctx, &body) {
                             if snap.version > self.db.version {
                                 self.db.apply_snapshot(snap);
                                 let m = self.probe("config.push");

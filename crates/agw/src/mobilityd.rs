@@ -4,16 +4,16 @@
 //! orchestrator); allocation itself is runtime state local to the AGW
 //! (§3.2), which is why attach works headless.
 
-use magma_wire::{Imsi, UeIp};
-use serde::{Deserialize, Error, Serialize, Value};
-use serde_json::json;
+use bytes::BufMut;
+use magma_wire::cursor::Reader;
+use magma_wire::{Imsi, UeIp, WireError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// Allocation pool for one AGW.
 ///
-/// The serialized form is `base`, `size` and the leases only: the free
-/// set is their complement within the range, rebuilt on deserialize.
+/// The encoded form is `base`, `size` and the leases only: the free set
+/// is their complement within the range, rebuilt on decode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IpPool {
     base: u32,
@@ -78,41 +78,43 @@ impl IpPool {
     pub fn free_addrs(&self) -> impl Iterator<Item = UeIp> + '_ {
         self.free.iter().map(|idx| UeIp(self.base + idx))
     }
-}
 
-impl Serialize for IpPool {
-    fn to_json(&self) -> Value {
-        json!({"base": self.base, "size": self.size, "allocated": self.allocated})
-    }
-}
-
-impl Deserialize for IpPool {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        let field = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| Error::msg(format!("missing field `{key}` in IpPool")))
-        };
-        let base = u32::from_json(field("base")?)?;
-        let size = u32::from_json(field("size")?)?;
-        if base.checked_add(size).is_none() {
-            return Err(Error::msg("pool range overflows the address space"));
+    /// Binary form carried in the AGW checkpoint:
+    /// `[u32 base][u32 size][u32 n][(u64 imsi, u32 ip) × n]`.
+    pub fn encode(&self, out: &mut impl BufMut) {
+        out.put_u32(self.base);
+        out.put_u32(self.size);
+        out.put_u32(self.allocated.len() as u32);
+        for (imsi, ip) in &self.allocated {
+            out.put_u64(imsi.0);
+            out.put_u32(ip.0);
         }
-        let allocated = BTreeMap::<Imsi, UeIp>::from_json(field("allocated")?)?;
-        let mut free: BTreeSet<u32> = (0..size).collect();
-        for ip in allocated.values() {
+    }
+
+    /// Decode [`encode`](Self::encode)'s form and rebuild the free set.
+    /// A range that overflows the address space, a lease outside the
+    /// range, and an address or IMSI leased twice are errors.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let base = r.u32()?;
+        let size = r.u32()?;
+        if base.checked_add(size).is_none() {
+            return Err(WireError::BadValue {
+                field: "pool range overflows the address space",
+                value: base as u64 + size as u64,
+            });
+        }
+        let mut pool = IpPool::new(base, size);
+        for _ in 0..r.u32()? {
+            let (imsi, ip) = (Imsi(r.u64()?), UeIp(r.u32()?));
             let idx = ip.0.wrapping_sub(base);
-            if !free.remove(&idx) {
-                return Err(Error::msg(format!(
-                    "lease {ip:?} is outside the pool or leased twice"
-                )));
+            if !pool.free.remove(&idx) || pool.allocated.insert(imsi, ip).is_some() {
+                return Err(WireError::BadValue {
+                    field: "lease outside the pool or leased twice",
+                    value: ip.0 as u64,
+                });
             }
         }
-        Ok(IpPool {
-            base,
-            size,
-            allocated,
-            free,
-        })
+        Ok(pool)
     }
 }
 
@@ -159,22 +161,28 @@ mod tests {
         p.allocate(imsi(1));
         p.allocate(imsi(2));
         p.release(imsi(1));
-        let back: IpPool = serde_json::from_value(serde_json::to_value(&p).unwrap()).unwrap();
+        let mut out = Vec::new();
+        p.encode(&mut out);
+        let back = IpPool::decode(&mut Reader::new(&out)).unwrap();
         assert_eq!(back, p);
-        let bad = |v: Value| serde_json::from_value::<IpPool>(v).is_err();
-        let (a, b) = (imsi(1).0.to_string(), imsi(2).0.to_string());
-        assert!(
-            bad(json!({"base": 100, "size": 4, "allocated": {a.clone(): 104}})),
-            "outside"
-        );
-        assert!(
-            bad(json!({"base": 100, "size": 4, "allocated": {a: 101, b: 101}})),
-            "twice"
-        );
-        assert!(
-            bad(json!({"base": u32::MAX, "size": 4, "allocated": {}})),
-            "overflow"
-        );
+        let decode = |base: u32, size: u32, leases: &[(u64, u32)]| {
+            let mut out = Vec::new();
+            out.put_u32(base);
+            out.put_u32(size);
+            out.put_u32(leases.len() as u32);
+            for &(imsi, ip) in leases {
+                out.put_u64(imsi);
+                out.put_u32(ip);
+            }
+            IpPool::decode(&mut Reader::new(&out))
+        };
+        let (a, b) = (imsi(1).0, imsi(2).0);
+        assert!(decode(100, 4, &[(a, 101), (b, 103)]).is_ok(), "valid");
+        assert!(decode(100, 4, &[(a, 104)]).is_err(), "outside above");
+        assert!(decode(100, 4, &[(a, 99)]).is_err(), "outside below");
+        assert!(decode(100, 4, &[(a, 101), (b, 101)]).is_err(), "address twice");
+        assert!(decode(100, 4, &[(a, 101), (a, 102)]).is_err(), "IMSI twice");
+        assert!(decode(u32::MAX, 4, &[]).is_err(), "overflow");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Control-plane traffic (S1AP/NAS, RPC) always crosses the simulated
 //! network.
 
-use crate::checkpoint::AgwCheckpoint;
+use bytes::Bytes;
 use magma_sim::ActorId;
 use magma_wire::Teid;
 use std::cell::RefCell;
@@ -30,11 +30,12 @@ pub struct FluidGrant {
 /// Shared inspection/backup handle for one AGW.
 ///
 /// The periodic runtime-state checkpoint (§3.3: "checkpointed regularly
-/// and may be copied to a backup instance") is published here; the
-/// testbed's failover injector restores a fresh AGW instance from it.
+/// and may be copied to a backup instance") is published here, as the
+/// same encoded bytes the AGW uploads to orc8r; decode it with
+/// [`AgwCheckpoint::decode`](crate::AgwCheckpoint::decode).
 #[derive(Debug, Default)]
 pub struct AgwShared {
-    pub checkpoint: Option<AgwCheckpoint>,
+    pub checkpoint: Option<Bytes>,
     pub active_sessions: usize,
     pub connected_enbs: usize,
     pub last_db_version: u64,

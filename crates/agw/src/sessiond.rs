@@ -6,17 +6,17 @@
 //! Compiles the session set into the data plane's desired state via
 //! [`crate::pipelined`].
 
+use bytes::BufMut;
 use magma_policy::{
     PolicyRule, RateLimit, SessionCredit, TieredState, UsageTracking,
 };
 use magma_sim::SimTime;
-use magma_wire::{Imsi, Teid, UeIp};
-use serde::{Deserialize, Error, Serialize, Value};
-use serde_json::json;
+use magma_wire::cursor::{put_bool, put_opt, Reader};
+use magma_wire::{Imsi, Teid, UeIp, WireError};
 use std::collections::BTreeMap;
 
 /// Radio access technology a session arrived on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessTech {
     Lte,
     Nr5g,
@@ -24,7 +24,7 @@ pub enum AccessTech {
 }
 
 /// One active session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Session {
     /// Session cookie; also the data-plane rule cookie.
     pub id: u64,
@@ -46,6 +46,59 @@ pub struct Session {
     pub started: SimTime,
     /// Set when online credit is exhausted: traffic blocked until refill.
     pub blocked: bool,
+}
+
+impl Session {
+    /// Binary form carried in the AGW checkpoint.
+    fn encode(&self, out: &mut impl BufMut) {
+        out.put_u64(self.id);
+        out.put_u64(self.imsi.0);
+        out.put_u8(match self.tech {
+            AccessTech::Lte => 0,
+            AccessTech::Nr5g => 1,
+            AccessTech::Wifi => 2,
+        });
+        out.put_u32(self.ue_ip.0);
+        out.put_u32(self.ul_teid.0);
+        out.put_u32(self.dl_teid.0);
+        self.rule.encode(out);
+        put_opt(out, &self.limit, |b, l| l.encode(b));
+        put_opt(out, &self.tiered, |b, t| t.encode(b));
+        put_opt(out, &self.credit, |b, c| c.encode(b));
+        out.put_u64(self.ul_bytes);
+        out.put_u64(self.dl_bytes);
+        out.put_u64(self.started.0);
+        put_bool(out, self.blocked);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Session {
+            id: r.u64()?,
+            imsi: Imsi(r.u64()?),
+            tech: match r.u8()? {
+                0 => AccessTech::Lte,
+                1 => AccessTech::Nr5g,
+                2 => AccessTech::Wifi,
+                v => {
+                    return Err(WireError::BadValue {
+                        field: "access tech",
+                        value: v as u64,
+                    })
+                }
+            },
+            ue_ip: UeIp(r.u32()?),
+            ul_teid: Teid(r.u32()?),
+            dl_teid: Teid(r.u32()?),
+            rule: PolicyRule::decode(r)?,
+            limit: r.opt(RateLimit::decode)?,
+            tiered: r.opt(TieredState::decode)?,
+            credit: r.opt(SessionCredit::decode)?,
+            ul_bytes: r.u64()?,
+            dl_bytes: r.u64()?,
+            started: SimTime(r.u64()?),
+            blocked: r.bool()?,
+        })
+    }
 }
 
 /// What changed after applying usage — tells the caller whether the data
@@ -235,37 +288,41 @@ impl SessionManager {
     }
 }
 
-impl Serialize for SessionManager {
-    fn to_json(&self) -> Value {
-        json!({
-            "sessions": self.sessions.values().collect::<Vec<_>>(),
-            "next_id": self.next_id,
-            "next_teid": self.next_teid,
-            "attaches": self.attaches,
-            "detaches": self.detaches,
-        })
+impl SessionManager {
+    /// Binary form carried in the AGW checkpoint: the id/TEID counters
+    /// and the session list. The indexes are not shipped.
+    pub fn encode(&self, out: &mut impl BufMut) {
+        out.put_u64(self.next_id);
+        out.put_u32(self.next_teid);
+        out.put_u64(self.attaches);
+        out.put_u64(self.detaches);
+        out.put_u32(self.sessions.len() as u32);
+        for s in self.sessions.values() {
+            s.encode(out);
+        }
     }
-}
 
-impl Deserialize for SessionManager {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        let field = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| Error::msg(format!("missing field `{key}` in SessionManager")))
-        };
+    /// Decode [`encode`](Self::encode)'s form and rebuild the indexes.
+    /// A duplicate session id, IMSI or UL TEID is an error.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let mut m = SessionManager {
-            next_id: u64::from_json(field("next_id")?)?,
-            next_teid: u32::from_json(field("next_teid")?)?,
-            attaches: u64::from_json(field("attaches")?)?,
-            detaches: u64::from_json(field("detaches")?)?,
+            next_id: r.u64()?,
+            next_teid: r.u32()?,
+            attaches: r.u64()?,
+            detaches: r.u64()?,
             ..Default::default()
         };
-        for s in Vec::<Session>::from_json(field("sessions")?)? {
+        let n = r.u32()?;
+        for _ in 0..n {
+            let s = Session::decode(r)?;
             if m.by_imsi.insert(s.imsi, s.id).is_some()
                 || m.by_ul_teid.insert(s.ul_teid, s.id).is_some()
                 || m.sessions.insert(s.id, s).is_some()
             {
-                return Err(Error::msg("duplicate session id, IMSI or UL TEID"));
+                return Err(WireError::BadValue {
+                    field: "duplicate session id, IMSI or UL TEID",
+                    value: n as u64,
+                });
             }
         }
         Ok(m)
@@ -373,18 +430,52 @@ mod tests {
         assert!(!m.get(id).unwrap().blocked);
     }
 
+    fn roundtrip(m: &SessionManager) -> Result<SessionManager, WireError> {
+        let mut out = Vec::new();
+        m.encode(&mut out);
+        let mut r = Reader::new(&out);
+        let back = SessionManager::decode(&mut r)?;
+        r.finish()?;
+        Ok(back)
+    }
+
     #[test]
     fn decode_rebuilds_indexes_and_rejects_duplicates() {
-        let (m, id) = mgr_with_session(PolicyRule::unrestricted("default"));
-        let mut v = serde_json::to_value(&m).unwrap();
-        let back: SessionManager = serde_json::from_value(v.clone()).unwrap();
+        let (mut m, id) = mgr_with_session(PolicyRule::unrestricted("default"));
+        let back = roundtrip(&m).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.by_imsi(imsi(1)).map(|s| s.id), Some(id));
-        let sessions = v["sessions"].as_array().unwrap().clone();
-        v.as_object_mut()
-            .unwrap()
-            .insert("sessions".into(), Value::Array([sessions.clone(), sessions].concat()));
-        assert!(serde_json::from_value::<SessionManager>(v).is_err());
+        // The same session twice: duplicate id, IMSI and UL TEID.
+        let twice = |m: &SessionManager| {
+            let mut out = Vec::new();
+            m.encode(&mut out);
+            let record = out[32..].to_vec();
+            out[28..32].copy_from_slice(&2u32.to_be_bytes());
+            out.extend_from_slice(&record);
+            SessionManager::decode(&mut Reader::new(&out))
+        };
+        assert!(twice(&m).is_err(), "duplicate session");
+        // Distinct ids that share an IMSI or a UL TEID are rejected too.
+        let dup = |mutate: fn(&mut Session)| {
+            let mut m2 = m.clone();
+            let mut s = m2.get(id).unwrap().clone();
+            s.id += 100;
+            mutate(&mut s);
+            m2.sessions.insert(s.id, s);
+            roundtrip(&m2)
+        };
+        assert!(dup(|s| s.ul_teid = Teid(s.ul_teid.0 + 1)).is_err(), "same IMSI");
+        assert!(dup(|s| s.imsi = imsi(2)).is_err(), "same UL TEID");
+        assert!(
+            dup(|s| {
+                s.imsi = imsi(2);
+                s.ul_teid = Teid(s.ul_teid.0 + 1);
+            })
+            .is_ok(),
+            "distinct sessions decode"
+        );
+        m.remove(id);
+        assert_eq!(roundtrip(&m).unwrap(), m);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! TEID uniqueness, pool conservation, and checkpoint restore-equivalence
 //! under arbitrary allocate/release/attach/detach/usage interleavings.
 
-use magma_agw::{AccessTech, AgwCheckpoint, IpPool, SessionManager};
-use magma_policy::PolicyRule;
-use magma_sim::SimTime;
+use magma_agw::{checkpoint, AccessTech, AgwCheckpoint, IpPool, SessionManager};
+use magma_policy::{PolicyRule, RateLimit, TieredPolicy, UsageTracking};
+use magma_sim::{SimDuration, SimTime};
 use magma_wire::{Imsi, Teid};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -32,6 +32,39 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The rule and access technology a subscriber attaches with, varied by
+/// IMSI so the checkpoint carries every optional session part: tiered
+/// state, an online credit bucket, and a flat limit.
+fn attach_profile(n: u64) -> (PolicyRule, AccessTech) {
+    match n % 3 {
+        0 => (PolicyRule::unrestricted("default"), AccessTech::Lte),
+        1 => (
+            PolicyRule::tiered(
+                "tier",
+                TieredPolicy {
+                    normal: RateLimit {
+                        dl_kbps: 10_000,
+                        ul_kbps: 10_000,
+                    },
+                    cap_bytes: 1_500_000,
+                    window: SimDuration::from_secs(20),
+                    throttled: RateLimit {
+                        dl_kbps: 100,
+                        ul_kbps: 100,
+                    },
+                    penalty: SimDuration::from_secs(5),
+                },
+            ),
+            AccessTech::Nr5g,
+        ),
+        _ => {
+            let mut rule = PolicyRule::rate_limited("prepaid", 2_000, 1_000);
+            rule.tracking = UsageTracking::Online;
+            (rule, AccessTech::Wifi)
+        }
+    }
+}
+
 /// Pool smaller than the IMSI space, so exhaustion is reachable.
 const POOL_BASE: u32 = 0x0A00_0002;
 const POOL_SIZE: u32 = 24;
@@ -54,7 +87,10 @@ fn pool_conserved(pool: &IpPool) {
 
 proptest! {
     #[test]
-    fn indexes_stay_consistent(ops in proptest::collection::vec(arb_op(), 1..120)) {
+    fn indexes_stay_consistent(
+        ops in proptest::collection::vec(arb_op(), 1..120),
+        cuts in proptest::collection::vec(any::<usize>(), 8),
+    ) {
         let mut m = SessionManager::new();
         let mut pool = IpPool::new(POOL_BASE, POOL_SIZE);
         let mut t = 0u64;
@@ -75,15 +111,12 @@ proptest! {
                     let imsi = Imsi::new(310, 26, n);
                     if let Some(ip) = pool.allocate(imsi) {
                         let ul = m.alloc_teid();
-                        m.create(
-                            imsi,
-                            AccessTech::Lte,
-                            ip,
-                            ul,
-                            Teid(0),
-                            PolicyRule::unrestricted("default"),
-                            now,
-                        );
+                        let (rule, tech) = attach_profile(n);
+                        let online = rule.tracking == UsageTracking::Online;
+                        let id = m.create(imsi, tech, ip, ul, Teid(0), rule, now);
+                        if online {
+                            m.set_credit(id, 2_000_000, n % 2 == 0);
+                        }
                     }
                 }
                 Op::Detach(n) => {
@@ -121,20 +154,20 @@ proptest! {
             // 3. Pool conservation.
             pool_conserved(&pool);
         }
-        // 4. Checkpoint restore-equivalence: the slim wire form (no free
+        // 4. Checkpoint restore-equivalence: the binary form (no free
         // set, no indexes) restores the live pool and session table.
-        let cp = AgwCheckpoint {
-            agw_id: "agw-1".into(),
-            taken_at_us: t * 1_000_000,
-            sessions: m,
-            pool,
-            cert: Some(1000),
-        };
-        let json = serde_json::to_value(&cp).unwrap();
-        let mut back: AgwCheckpoint = serde_json::from_value(json).unwrap();
-        prop_assert_eq!(&back.sessions, &cp.sessions);
-        prop_assert_eq!(&back.pool, &cp.pool);
-        prop_assert_eq!(&back, &cp);
+        let bytes = checkpoint::encode("agw-1", SimTime::from_secs(t), &m, &pool, Some(1000));
+        let mut back = AgwCheckpoint::decode(&bytes).unwrap();
+        prop_assert_eq!(&back.sessions, &m);
+        prop_assert_eq!(&back.pool, &pool);
+        prop_assert_eq!((back.agw_id.as_str(), back.taken_at_us, back.cert), ("agw-1", t * 1_000_000, Some(1000)));
+        // 5. Truncated or extended encodings are rejected, never a panic.
+        for cut in cuts {
+            prop_assert!(AgwCheckpoint::decode(&bytes[..cut % bytes.len()]).is_err());
+        }
+        let mut longer = bytes.to_vec();
+        longer.push(0);
+        prop_assert!(AgwCheckpoint::decode(&longer).is_err());
         pool_conserved(&back.pool);
         let mut teids = BTreeSet::new();
         for s in back.sessions.iter() {
@@ -142,7 +175,7 @@ proptest! {
             prop_assert_eq!(back.sessions.by_ul_teid(s.ul_teid).map(|x| x.id), Some(s.id));
         }
         // Lowest-free order survives: the next lease is the same address.
-        let mut live = cp.pool;
+        let mut live = pool;
         let next = Imsi::new(310, 26, 999);
         let want = live.allocate(next);
         prop_assert_eq!(back.pool.allocate(next), want);

@@ -7,7 +7,8 @@
 
 use magma_net::{lp_encode, ports, Endpoint, LpFramer, SockCmd, SockEvent, StreamHandle};
 use magma_orc8r::proto::{self as proto, FegAuthRequest, FegAuthResponse, FegVector};
-use magma_rpc::{RpcServer, RpcServerEvent};
+use bytes::Bytes;
+use magma_rpc::{decode, RpcServer, RpcServerEvent};
 use crate::flows;
 use magma_sim::{downcast, Actor, ActorId, Ctx, Event, SimDuration, SimTime};
 use magma_wire::diameter::{DiameterPacket, ResultCode, S6aMessage};
@@ -116,12 +117,11 @@ impl FegActor {
         conn: StreamHandle,
         id: u64,
         method: &str,
-        body: serde_json::Value,
+        body: Bytes,
     ) -> Result<(), String> {
         let msg = match method {
             proto::methods::FEG_AUTH => {
-                let req: FegAuthRequest =
-                    serde_json::from_value(body).map_err(|_| "bad feg auth request")?;
+                let req: FegAuthRequest = decode(ctx, &body).ok_or("bad feg auth request")?;
                 S6aMessage::AuthInfoRequest {
                     imsi: Imsi(req.imsi),
                     num_vectors: 1,
@@ -129,7 +129,7 @@ impl FegActor {
             }
             proto::methods::FEG_UPDATE_LOCATION => {
                 let req: proto::FegLocationRequest =
-                    serde_json::from_value(body).map_err(|_| "bad feg location request")?;
+                    decode(ctx, &body).ok_or("bad feg location request")?;
                 // Serving-node id derived from the gateway id hash.
                 let node = req.agw_id.bytes().map(|b| b as u32).sum::<u32>();
                 S6aMessage::UpdateLocationRequest {

@@ -7,8 +7,9 @@
 
 use crate::proto::*;
 use crate::state::Orc8rHandle;
+use bytes::Bytes;
 use magma_net::{SockEvent, StreamHandle};
-use magma_rpc::{RpcServer, RpcServerEvent};
+use magma_rpc::{decode, RpcServer, RpcServerEvent};
 use magma_sim::{downcast, flow_dispatch, Actor, ActorId, Ctx, Event, SimDuration};
 use serde_json::json;
 use std::collections::BTreeMap;
@@ -63,13 +64,13 @@ impl Orc8rActor {
         conn: StreamHandle,
         id: u64,
         method: &str,
-        body: serde_json::Value,
+        body: Bytes,
     ) -> Result<(), String> {
         let now = ctx.now();
         match method {
             methods::BOOTSTRAP => {
                 let req: BootstrapRequest =
-                    serde_json::from_value(body).map_err(|_| "bad bootstrap request")?;
+                    decode(ctx, &body).ok_or("bad bootstrap request")?;
                 let cert = self.state.borrow_mut().bootstrap(&req.agw_id, req.hw_token);
                 if let Some(info) = self.conns.get_mut(&conn) {
                     info.agw_id = Some(req.agw_id.clone());
@@ -79,8 +80,7 @@ impl Orc8rActor {
                     .reply(ctx, conn, id, &flows::ORC8R_REPLY, &BootstrapResponse { cert });
             }
             methods::CHECKIN => {
-                let req: CheckinRequest =
-                    serde_json::from_value(body).map_err(|_| "bad checkin request")?;
+                let req: CheckinRequest = decode(ctx, &body).ok_or("bad checkin request")?;
                 let mut st = self.state.borrow_mut();
                 let ok = st.record_checkin(
                     &req.agw_id,
@@ -114,16 +114,14 @@ impl Orc8rActor {
                 self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, &resp);
             }
             methods::CHECKPOINT => {
-                let req: CheckpointPush =
-                    serde_json::from_value(body).map_err(|_| "bad checkpoint")?;
-                self.state
-                    .borrow_mut()
-                    .store_checkpoint(&req.agw_id, req.state);
+                let req: CheckpointPush = decode(ctx, &body).ok_or("bad checkpoint")?;
+                if !self.state.borrow_mut().store_checkpoint(&req.agw_id, req.state) {
+                    return Err("unregistered gateway".into());
+                }
                 self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, &json!({}));
             }
             methods::CREDIT_REQUEST => {
-                let req: CreditRequest =
-                    serde_json::from_value(body).map_err(|_| "bad credit request")?;
+                let req: CreditRequest = decode(ctx, &body).ok_or("bad credit request")?;
                 let answer = self
                     .state
                     .borrow_mut()
@@ -145,8 +143,7 @@ impl Orc8rActor {
                 self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, &resp);
             }
             methods::CREDIT_REPORT => {
-                let req: CreditReport =
-                    serde_json::from_value(body).map_err(|_| "bad credit report")?;
+                let req: CreditReport = decode(ctx, &body).ok_or("bad credit report")?;
                 self.state.borrow_mut().ocs.report_usage(
                     magma_wire::Imsi(req.imsi),
                     req.used_bytes,
@@ -155,8 +152,7 @@ impl Orc8rActor {
                 self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, &json!({}));
             }
             methods::METRICS_PUSH => {
-                let req: MetricsPush =
-                    serde_json::from_value(body).map_err(|_| "bad metrics push")?;
+                let req: MetricsPush = decode(ctx, &body).ok_or("bad metrics push")?;
                 let (accepted, last_seq) = {
                     let mut st = self.state.borrow_mut();
                     let taken_at = magma_sim::SimTime(req.taken_at_us);
@@ -190,30 +186,28 @@ impl Orc8rActor {
 
     /// Push the latest snapshot to any connected gateway whose replica is
     /// stale (desired-state push, complementing the pull at check-in).
+    /// The snapshot is taken and encoded only when some gateway needs it,
+    /// and every stale connection gets the same frame.
     fn push_stale(&mut self, ctx: &mut Ctx<'_>) {
-        let (version, snapshot) = {
-            let st = self.state.borrow();
-            (st.db.version, st.db.snapshot())
-        };
+        let version = self.state.borrow().db.version;
         let stale: Vec<StreamHandle> = self
             .conns
             .iter()
             .filter(|(_, info)| info.agw_id.is_some() && info.last_pushed_version < version)
             .map(|(h, _)| *h)
             .collect();
-        for conn in stale {
-            if self.server.push(
-                ctx,
-                conn,
-                version,
-                &flows::PUSH_SUBSCRIBERS,
-                &snapshot,
-            ) {
-                if let Some(info) = self.conns.get_mut(&conn) {
-                    info.last_pushed_version = version;
-                }
-                ctx.metrics().inc("orc8r.pushes", 1.0);
+        if stale.is_empty() {
+            return;
+        }
+        let snapshot = self.state.borrow().db.snapshot();
+        let sent = self
+            .server
+            .push(ctx, &stale, version, &flows::PUSH_SUBSCRIBERS, &snapshot);
+        for conn in sent {
+            if let Some(info) = self.conns.get_mut(&conn) {
+                info.last_pushed_version = version;
             }
+            ctx.metrics().inc("orc8r.pushes", 1.0);
         }
     }
 }
@@ -306,8 +300,9 @@ mod tests {
         reasons: BTreeMap<u64, String>,
     }
 
-    /// Issues one malformed bootstrap, one check-in with a wrong cert and
-    /// one call to an unknown method.
+    /// Issues one malformed bootstrap, one check-in with a wrong cert, one
+    /// checkpoint from a gateway that never bootstrapped, and one call to
+    /// an unknown method.
     struct Caller {
         client: RpcClient,
         cert: u64,
@@ -327,9 +322,14 @@ mod tests {
                         active_sessions: 0,
                         metrics: BTreeMap::new(),
                     };
+                    let ghost_checkpoint = CheckpointPush {
+                        agw_id: "ghost".into(),
+                        state: Bytes::from_static(b"state"),
+                    };
                     let ids = vec![
                         self.client.call(ctx, &flows::BOOTSTRAP, &bad_bootstrap),
                         self.client.call(ctx, &flows::CHECKIN, &wrong_cert),
+                        self.client.call(ctx, &flows::CHECKPOINT, &ghost_checkpoint),
                         self.client.call(ctx, &NO_SUCH, &json!({})),
                     ];
                     self.log.borrow_mut().ids = ids;
@@ -362,7 +362,7 @@ mod tests {
         let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
         let state = new_orc8r(0);
         let cert = state.borrow_mut().bootstrap("gw1", 7);
-        w.add_actor(Box::new(Orc8rActor::new(state, sb, ports::ORC8R)));
+        w.add_actor(Box::new(Orc8rActor::new(state.clone(), sb, ports::ORC8R)));
         let log = Rc::new(RefCell::new(Log::default()));
         w.add_actor(Box::new(Caller {
             client: RpcClient::new(sa, Endpoint::new(b, ports::ORC8R), 1),
@@ -377,8 +377,10 @@ mod tests {
             [
                 Some("bad bootstrap request".to_string()),
                 Some("unregistered gateway".to_string()),
+                Some("unregistered gateway".to_string()),
                 Some("unknown method orc8r.NoSuch".to_string()),
             ]
         );
+        assert!(state.borrow().checkpoints.is_empty(), "nothing stored for ghost");
     }
 }

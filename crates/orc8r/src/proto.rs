@@ -1,9 +1,14 @@
 //! RPC message contracts between AGWs and the orchestrator.
 //!
 //! These are the simulation's "protobuf definitions": serde structs
-//! carried as JSON by `magma-rpc`.
+//! carried as JSON bodies by `magma-rpc`. The one exception is
+//! [`CheckpointPush`], the bulk of the southbound bytes: it has a binary
+//! codec and carries the AGW's encoded checkpoint as an opaque blob.
 
+use bytes::Bytes;
+use magma_rpc::{Body, FromBody};
 use magma_subscriber::DbSnapshot;
+use magma_wire::cursor::{put_str, Reader};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -241,12 +246,32 @@ pub struct CheckinResponse {
     pub checkin_interval_s: u64,
 }
 
-/// Runtime-state checkpoint upload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Runtime-state checkpoint upload: `[u16 len][agw_id][state]`, where
+/// `state` runs to the end of the body.
+#[derive(Debug, Clone)]
 pub struct CheckpointPush {
     pub agw_id: String,
-    /// Opaque serialized AGW runtime state.
-    pub state: serde_json::Value,
+    /// The AGW's encoded runtime state. The orchestrator stores it as is
+    /// and never decodes it; only failover does.
+    pub state: Bytes,
+}
+
+impl Body for CheckpointPush {
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        out.reserve(2 + self.agw_id.len() + self.state.len());
+        put_str(out, &self.agw_id);
+        out.extend_from_slice(&self.state);
+    }
+}
+
+impl FromBody for CheckpointPush {
+    /// The state is a window onto the received body, not a copy.
+    fn from_body(body: &Bytes) -> Option<Self> {
+        let mut r = Reader::new(body);
+        let agw_id = r.str().ok()?;
+        let state = body.slice(body.len() - r.remaining()..);
+        Some(CheckpointPush { agw_id, state })
+    }
 }
 
 /// OCS quota request.
@@ -370,6 +395,24 @@ mod tests {
             serde_json::from_value::<magma_sim::BucketHistogram>(v).unwrap(),
             empty
         );
+    }
+
+    #[test]
+    fn checkpoint_push_carries_state_opaque() {
+        let push = CheckpointPush {
+            agw_id: "agw-1".into(),
+            state: Bytes::from_static(b"\x00\x01opaque\xFF"),
+        };
+        let mut body = Vec::new();
+        push.encode_body(&mut body);
+        assert_eq!(body.len(), 2 + 5 + push.state.len());
+        let back = CheckpointPush::from_body(&Bytes::from(body.clone())).unwrap();
+        assert_eq!(back.agw_id, "agw-1");
+        assert_eq!(back.state.as_ref(), push.state.as_ref());
+        for cut in 0..2 + 5 {
+            let short = Bytes::copy_from_slice(&body[..cut]);
+            assert!(CheckpointPush::from_body(&short).is_none(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::alerting::{AlertEngine, AlertRule, AlertTransition};
 use crate::metrics::MetricsStore;
+use bytes::Bytes;
 use magma_policy::{OcsServer, PolicyRule};
 use magma_sim::{Severity, SimTime};
 use magma_subscriber::{SubscriberDb, SubscriberProfile};
@@ -97,8 +98,10 @@ pub struct Orc8rState {
     /// Typed telemetry pushed in-band by each gateway's `metricsd`:
     /// latest registry snapshot per gateway plus fleet-wide queries.
     pub metrics_store: MetricsStore,
-    /// Latest uploaded runtime checkpoints, per gateway (§3.3 backup).
-    pub checkpoints: BTreeMap<String, serde_json::Value>,
+    /// Latest uploaded runtime checkpoint per gateway (§3.3 backup), as
+    /// the encoded bytes the gateway sent: orc8r stores them and never
+    /// decodes them; only failover does.
+    pub checkpoints: BTreeMap<String, Bytes>,
     /// Append-only configuration journal.
     pub journal: Vec<JournalEntry>,
     /// Gateway check-in cadence handed out in responses.
@@ -357,8 +360,14 @@ impl Orc8rState {
         true
     }
 
-    pub fn store_checkpoint(&mut self, agw_id: &str, state: serde_json::Value) {
+    /// Keep a gateway's latest checkpoint; returns whether the gateway is
+    /// registered (an unknown or unregistered one stores nothing).
+    pub fn store_checkpoint(&mut self, agw_id: &str, state: Bytes) -> bool {
+        if !self.devices.get(agw_id).is_some_and(|rec| rec.registered) {
+            return false;
+        }
         self.checkpoints.insert(agw_id.to_string(), state);
+        true
     }
 
     fn log(&mut self, what: String) {
@@ -437,25 +446,22 @@ mod tests {
 
     #[test]
     fn checkpoints_stored_per_gateway() {
-        use magma_agw::{AgwCheckpoint, IpPool, SessionManager};
+        use magma_agw::{checkpoint, AgwCheckpoint, IpPool, SessionManager};
         let mut pool = IpPool::new(0x0A00_0002, 16);
         pool.allocate(magma_wire::Imsi::new(310, 26, 1));
-        let cp = AgwCheckpoint {
-            agw_id: "agw-1".into(),
-            taken_at_us: 1_000_000,
-            sessions: SessionManager::new(),
-            pool,
-            cert: Some(1000),
-        };
-        let later = AgwCheckpoint {
-            taken_at_us: 2_000_000,
-            ..cp.clone()
-        };
+        let sessions = SessionManager::new();
+        let first = checkpoint::encode("agw-1", SimTime::from_secs(1), &sessions, &pool, Some(1000));
+        let later = checkpoint::encode("agw-1", SimTime::from_secs(2), &sessions, &pool, Some(1000));
         let mut s = Orc8rState::new(1);
-        s.store_checkpoint("agw-1", serde_json::to_value(&cp).unwrap());
-        s.store_checkpoint("agw-1", serde_json::to_value(&later).unwrap());
+        s.bootstrap("agw-1", 1);
+        assert!(s.store_checkpoint("agw-1", first));
+        assert!(s.store_checkpoint("agw-1", later.clone()));
         assert_eq!(s.checkpoints.len(), 1, "one slot per gateway");
-        let back = AgwCheckpoint::from_json(&s.checkpoints["agw-1"]).unwrap();
-        assert_eq!(back, later, "the latest upload wins and decodes whole");
+        assert_eq!(s.checkpoints["agw-1"].as_ref(), later.as_ref(), "stored as sent");
+        let back = AgwCheckpoint::decode(&s.checkpoints["agw-1"]).unwrap();
+        assert_eq!(back.taken_at_us, 2_000_000, "the latest upload wins");
+        assert_eq!((back.sessions, back.pool), (sessions, pool), "and decodes whole");
+        assert!(!s.store_checkpoint("ghost", later), "unknown gateway");
+        assert_eq!(s.checkpoints.len(), 1);
     }
 }

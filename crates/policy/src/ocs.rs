@@ -7,7 +7,9 @@
 //! quota per AGW — a bound this module makes explicit and the ablation
 //! benchmark measures.
 
-use magma_wire::Imsi;
+use bytes::BufMut;
+use magma_wire::cursor::{put_bool, Reader};
+use magma_wire::{Imsi, WireError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -104,7 +106,7 @@ impl OcsServer {
 }
 
 /// Client-side (AGW sessiond) credit state for one session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionCredit {
     pub granted: u64,
     pub used: u64,
@@ -151,6 +153,23 @@ impl SessionCredit {
     pub fn refill(&mut self, bytes: u64, is_final: bool) {
         self.granted += bytes;
         self.is_final = is_final;
+    }
+
+    /// Binary form carried in the AGW checkpoint.
+    pub fn encode(&self, out: &mut impl BufMut) {
+        out.put_u64(self.granted);
+        out.put_u64(self.used);
+        out.put_u64(self.refill_fraction.to_bits());
+        put_bool(out, self.is_final);
+    }
+
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(SessionCredit {
+            granted: r.u64()?,
+            used: r.u64()?,
+            refill_fraction: r.f64()?,
+            is_final: r.bool()?,
+        })
     }
 }
 

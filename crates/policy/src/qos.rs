@@ -5,6 +5,7 @@
 //! (best-effort only). The [`QosCaps`] type records what a given access
 //! technology can express, so policies degrade gracefully.
 
+use magma_wire::WireError;
 use serde::{Deserialize, Serialize};
 
 /// LTE QoS Class Identifier (TS 23.203 subset). 5G 5QI values map onto the
@@ -29,6 +30,20 @@ impl Qci {
             Qci::ConversationalVideo => 2,
             Qci::Default => 9,
             Qci::Background => 8,
+        }
+    }
+
+    /// Inverse of [`value`](Self::value), for state codecs.
+    pub fn from_value(v: u8) -> Result<Qci, WireError> {
+        match v {
+            1 => Ok(Qci::ConversationalVoice),
+            2 => Ok(Qci::ConversationalVideo),
+            9 => Ok(Qci::Default),
+            8 => Ok(Qci::Background),
+            v => Err(WireError::BadValue {
+                field: "qci",
+                value: v as u64,
+            }),
         }
     }
 

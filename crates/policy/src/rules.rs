@@ -8,7 +8,10 @@
 //! effective limits as usage accumulates.
 
 use crate::qos::Qci;
+use bytes::BufMut;
 use magma_sim::{SimDuration, SimTime};
+use magma_wire::cursor::{put_opt, put_str, Reader};
+use magma_wire::WireError;
 use serde::{Deserialize, Serialize};
 
 /// How usage under a rule is tracked.
@@ -29,6 +32,42 @@ pub struct RateLimit {
     pub ul_kbps: u32,
 }
 
+impl UsageTracking {
+    pub fn encode(&self, out: &mut impl BufMut) {
+        out.put_u8(match self {
+            UsageTracking::None => 0,
+            UsageTracking::Offline => 1,
+            UsageTracking::Online => 2,
+        });
+    }
+
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(UsageTracking::None),
+            1 => Ok(UsageTracking::Offline),
+            2 => Ok(UsageTracking::Online),
+            v => Err(WireError::BadValue {
+                field: "usage tracking",
+                value: v as u64,
+            }),
+        }
+    }
+}
+
+impl RateLimit {
+    pub fn encode(&self, out: &mut impl BufMut) {
+        out.put_u32(self.dl_kbps);
+        out.put_u32(self.ul_kbps);
+    }
+
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(RateLimit {
+            dl_kbps: r.u32()?,
+            ul_kbps: r.u32()?,
+        })
+    }
+}
+
 /// A tiered rate policy: full speed until a usage cap inside a rolling
 /// window, then throttled for a penalty interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,6 +82,26 @@ pub struct TieredPolicy {
     pub throttled: RateLimit,
     /// Throttle duration (t₂).
     pub penalty: SimDuration,
+}
+
+impl TieredPolicy {
+    pub fn encode(&self, out: &mut impl BufMut) {
+        self.normal.encode(out);
+        out.put_u64(self.cap_bytes);
+        out.put_u64(self.window.0);
+        self.throttled.encode(out);
+        out.put_u64(self.penalty.0);
+    }
+
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(TieredPolicy {
+            normal: RateLimit::decode(r)?,
+            cap_bytes: r.u64()?,
+            window: SimDuration(r.u64()?),
+            throttled: RateLimit::decode(r)?,
+            penalty: SimDuration(r.u64()?),
+        })
+    }
 }
 
 /// A complete policy rule, the unit pushed from orchestrator to AGWs.
@@ -96,8 +155,32 @@ impl PolicyRule {
     }
 }
 
+impl PolicyRule {
+    /// Binary form carried in the AGW checkpoint (each session holds its
+    /// effective rule).
+    pub fn encode(&self, out: &mut impl BufMut) {
+        put_str(out, &self.id);
+        out.put_u16(self.priority);
+        out.put_u8(self.qci.value());
+        self.tracking.encode(out);
+        put_opt(out, &self.limit, |b, l| l.encode(b));
+        put_opt(out, &self.tiered, |b, t| t.encode(b));
+    }
+
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(PolicyRule {
+            id: r.str()?,
+            priority: r.u16()?,
+            qci: Qci::from_value(r.u8()?)?,
+            tracking: UsageTracking::decode(r)?,
+            limit: r.opt(RateLimit::decode)?,
+            tiered: r.opt(TieredPolicy::decode)?,
+        })
+    }
+}
+
 /// Runtime evaluation state for a tiered policy on one subscriber.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TieredState {
     policy: TieredPolicy,
     window_start: SimTime,
@@ -153,6 +236,23 @@ impl TieredState {
 
     pub fn window_usage(&self) -> u64 {
         self.window_bytes
+    }
+
+    /// Binary form carried in the AGW checkpoint.
+    pub fn encode(&self, out: &mut impl BufMut) {
+        self.policy.encode(out);
+        out.put_u64(self.window_start.0);
+        out.put_u64(self.window_bytes);
+        put_opt(out, &self.throttled_until, |b, t| b.put_u64(t.0));
+    }
+
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(TieredState {
+            policy: TieredPolicy::decode(r)?,
+            window_start: SimTime(r.u64()?),
+            window_bytes: r.u64()?,
+            throttled_until: r.opt(|r| r.u64().map(SimTime))?,
+        })
     }
 }
 

@@ -6,27 +6,26 @@
 //! client therefore retries aggressively across connection failures, which
 //! is what keeps the control plane usable over satellite-grade backhaul.
 //! Request bodies go in typed and are encoded once, when the call is
-//! issued, so a retry resends the same bytes; replies come out as a `Value`.
+//! issued, so a retry resends the same bytes; replies and pushes come out
+//! as undecoded body bytes for the owner to [`decode`](crate::decode).
 
-use crate::codec::{count_malformed, encode_frame, Framer};
-use crate::msg::{RpcFrame, RpcKind};
+use crate::codec::{count_malformed, encode_scoped, Framer};
+use crate::msg::{Body, RpcKind};
 use bytes::Bytes;
 use magma_net::{flows, Endpoint, SockCmd, SockEvent, StreamHandle};
 use magma_sim::{ActorId, Ctx, FlowKind, Role, SimDuration, SimTime};
-use serde::Serialize;
-use serde_json::Value;
 use std::collections::BTreeMap;
 
 /// Events the client surfaces to its owning actor.
 #[derive(Debug)]
 pub enum RpcClientEvent {
     /// A call completed successfully.
-    Response { id: u64, body: Value },
+    Response { id: u64, body: Bytes },
     /// A call failed permanently (deadline + retries exhausted, or an
     /// application error from the server).
     Failed { id: u64, reason: String },
     /// A server-push frame arrived (desired-state sync stream).
-    Push { stream_id: u64, method: String, body: Value },
+    Push { stream_id: u64, method: String, body: Bytes },
     /// Transport (re)connected; queued calls were flushed.
     Connected,
     /// Transport dropped; client will reconnect on next call/tick.
@@ -146,7 +145,7 @@ impl RpcClient {
         &mut self,
         ctx: &mut Ctx<'_>,
         kind: &'static FlowKind,
-        body: &impl Serialize,
+        body: &(impl Body + ?Sized),
     ) -> u64 {
         debug_assert!(
             kind.role == Role::Request && kind.retry.is_some(),
@@ -155,10 +154,7 @@ impl RpcClient {
         );
         let id = self.next_id;
         self.next_id += 1;
-        let frame = {
-            let _enc = ctx.profile_scope("rpc.encode");
-            encode_frame(&RpcFrame::request(id, kind.name, body.to_json()))
-        };
+        let frame = encode_scoped(ctx, RpcKind::Request, id, kind.name, body);
         let now = ctx.now();
         self.outstanding.insert(
             id,
@@ -235,7 +231,7 @@ impl RpcClient {
                             if self.outstanding.remove(&f.id).is_some() {
                                 out.push(RpcClientEvent::Failed {
                                     id: f.id,
-                                    reason: f.body.as_str().unwrap_or("error").to_string(),
+                                    reason: String::from_utf8_lossy(&f.body).into_owned(),
                                 });
                             }
                         }

@@ -13,8 +13,8 @@ pub mod msg;
 pub mod server;
 
 pub use client::{RpcClient, RpcClientConfig, RpcClientEvent};
-pub use codec::{encode_frame, Framer};
-pub use msg::{RpcFrame, RpcKind};
+pub use codec::{decode, encode_frame, Framer};
+pub use msg::{Body, FromBody, RpcFrame, RpcKind};
 pub use server::{RpcServer, RpcServerEvent};
 
 #[cfg(test)]
@@ -75,8 +75,8 @@ mod tests {
                                 body,
                             } = e
                             {
-                                match method.as_str() {
-                                    "echo.Echo" => {
+                                match (method.as_str(), decode::<Value>(ctx, &body)) {
+                                    ("echo.Echo", Some(body)) => {
                                         self.server.reply(ctx, conn, id, &ECHO_REPLY, &body)
                                     }
                                     _ => self.server.reply_err(
@@ -110,7 +110,9 @@ mod tests {
                 match e {
                     RpcClientEvent::Response { body, .. } => {
                         let t = ctx.now();
-                        let v = body.get("v").and_then(Value::as_f64).unwrap_or(-1.0);
+                        let v = decode::<Value>(ctx, &body)
+                            .and_then(|b| b.get("v").and_then(Value::as_f64))
+                            .unwrap_or(-1.0);
                         ctx.metrics().record("rpc.ok", t, v);
                     }
                     RpcClientEvent::Failed { .. } => {

@@ -1,30 +1,58 @@
 //! RPC frame format.
 //!
-//! Frames are length-prefixed JSON documents — the simulation analog of
-//! gRPC's HTTP/2 frames carrying protobuf. JSON keeps the simulated wire
-//! self-describing and debuggable; the framing and delivery semantics
-//! (ordered, reliable, multiplexed by id) are what matter for fidelity.
-//! Bodies are typed (`&impl Serialize`) going in and a [`Value`] coming
-//! out, which the receiver decodes into its own type.
+//! A frame is a binary envelope around an opaque body — the simulation
+//! analog of a gRPC message on an HTTP/2 stream:
+//!
+//! ```text
+//! [u32 len][u8 kind][u64 id][u8 method_len][method][body]
+//! ```
+//!
+//! `len` counts every byte after itself, `kind` is an [`RpcKind`] tag,
+//! and `method` is UTF-8 (empty on responses and errors). The envelope is
+//! all the transport parses; the body stays bytes until the receiving
+//! handler decodes it into its own type with [`crate::decode`], inside
+//! the `rpc.decode` scope.
+//!
+//! A body is anything that implements [`Body`]. Control messages are
+//! serde types whose JSON document is rendered once and appended to the
+//! frame buffer; they are a small share of the bytes, so one hand-written
+//! codec per message is not worth it. The AGW checkpoint brings its own
+//! binary encoding, which is copied into the frame as is and which the
+//! orchestrator stores without parsing. An error frame's body is the
+//! reason text.
 
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 
-/// Kind of RPC frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Kind of RPC frame. The discriminant is the wire tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum RpcKind {
     /// A unary request expecting exactly one response.
-    Request,
+    Request = 0,
     /// Successful response.
-    Response,
+    Response = 1,
     /// Error response (application or transport level).
-    Error,
+    Error = 2,
     /// One item of a server-push stream (used by desired-state sync).
-    Push,
+    Push = 3,
 }
 
-/// One RPC frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+impl RpcKind {
+    /// The kind a wire tag names, if any.
+    pub fn from_tag(tag: u8) -> Option<RpcKind> {
+        match tag {
+            0 => Some(RpcKind::Request),
+            1 => Some(RpcKind::Response),
+            2 => Some(RpcKind::Error),
+            3 => Some(RpcKind::Push),
+            _ => None,
+        }
+    }
+}
+
+/// One decoded envelope.
+#[derive(Debug, Clone)]
 pub struct RpcFrame {
     /// Correlates responses to requests. For `Push` frames the id is a
     /// server-chosen stream id.
@@ -33,68 +61,75 @@ pub struct RpcFrame {
     /// Fully-qualified method name, e.g. `"subscriberdb.ListSubscribers"`.
     /// Empty for responses.
     pub method: String,
-    /// Payload document.
-    pub body: Value,
+    /// The body, undecoded: a window onto the received frame.
+    pub body: Bytes,
 }
 
-impl RpcFrame {
-    pub fn request(id: u64, method: &str, body: Value) -> Self {
-        RpcFrame {
-            id,
-            kind: RpcKind::Request,
-            method: method.to_string(),
-            body,
-        }
+/// Equal envelopes with equal body contents. (`Bytes` equality also
+/// compares where the window sits in its allocation, and a received body
+/// is a window onto a larger buffer.)
+impl PartialEq for RpcFrame {
+    fn eq(&self, other: &Self) -> bool {
+        (self.id, self.kind, &self.method) == (other.id, other.kind, &other.method)
+            && self.body.as_ref() == other.body.as_ref()
     }
+}
 
-    pub fn response(id: u64, body: Value) -> Self {
-        RpcFrame {
-            id,
-            kind: RpcKind::Response,
-            method: String::new(),
-            body,
-        }
+/// A message that can ride as a frame body.
+pub trait Body {
+    /// Append the encoded body to the frame buffer.
+    fn encode_body(&self, out: &mut Vec<u8>);
+}
+
+/// A message that can be read back from a frame body.
+pub trait FromBody: Sized {
+    fn from_body(body: &Bytes) -> Option<Self>;
+}
+
+/// Control messages: one JSON document.
+impl<T: Serialize + ?Sized> Body for T {
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        let mut json = String::new();
+        self.to_json().render(&mut json);
+        out.extend_from_slice(json.as_bytes());
     }
+}
 
-    pub fn error(id: u64, message: &str) -> Self {
-        RpcFrame {
-            id,
-            kind: RpcKind::Error,
-            method: String::new(),
-            body: Value::String(message.to_string()),
-        }
+impl<T: Deserialize> FromBody for T {
+    fn from_body(body: &Bytes) -> Option<Self> {
+        serde_json::from_slice(body).ok()
     }
+}
 
-    pub fn push(stream_id: u64, method: &str, body: Value) -> Self {
-        RpcFrame {
-            id: stream_id,
-            kind: RpcKind::Push,
-            method: method.to_string(),
-            body,
-        }
+/// An error frame's body: the reason text as UTF-8.
+pub(crate) struct ErrorText<'a>(pub &'a str);
+
+impl Body for ErrorText<'_> {
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.0.as_bytes());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+    use serde_json::{json, Value};
 
     #[test]
-    fn frame_constructors() {
-        let r = RpcFrame::request(1, "m.Do", json!({"x": 1}));
-        assert_eq!(r.kind, RpcKind::Request);
-        assert_eq!(r.method, "m.Do");
-        let e = RpcFrame::error(1, "boom");
-        assert_eq!(e.kind, RpcKind::Error);
-        assert_eq!(e.body, Value::String("boom".into()));
+    fn kind_tags_roundtrip() {
+        for kind in [RpcKind::Request, RpcKind::Response, RpcKind::Error, RpcKind::Push] {
+            assert_eq!(RpcKind::from_tag(kind as u8), Some(kind));
+        }
+        assert_eq!(RpcKind::from_tag(4), None);
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let f = RpcFrame::push(9, "sync.State", json!({"sessions": [1, 2, 3]}));
-        let s = serde_json::to_string(&f).unwrap();
-        let back: RpcFrame = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, f);
+    fn json_bodies_roundtrip() {
+        let v = json!({"sessions": [1, 2, 3]});
+        let mut out = Vec::new();
+        v.encode_body(&mut out);
+        assert_eq!(out, br#"{"sessions":[1,2,3]}"#);
+        assert_eq!(Value::from_body(&Bytes::from(out)), Some(v));
+        assert_eq!(u32::from_body(&Bytes::from_static(b"{")), None);
     }
 }

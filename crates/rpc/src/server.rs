@@ -1,14 +1,14 @@
 //! RPC server: accepts connections on a port, surfaces requests to the
 //! owning actor, and sends responses / push frames back.
 //! Reply and push bodies go in typed and are converted and encoded inside
-//! the `rpc.encode` scope; request bodies come out as a `Value`.
+//! the `rpc.encode` scope; request bodies come out as undecoded bytes for
+//! the owner to [`decode`](crate::decode).
 
-use crate::codec::{count_malformed, encode_frame, Framer};
-use crate::msg::{RpcFrame, RpcKind};
+use crate::codec::{count_malformed, encode_scoped, Framer};
+use crate::msg::{Body, ErrorText, RpcKind};
+use bytes::Bytes;
 use magma_net::{flows, SockCmd, SockEvent, StreamHandle};
 use magma_sim::{ActorId, Ctx, FlowKind, Role};
-use serde::Serialize;
-use serde_json::Value;
 use std::collections::BTreeMap;
 
 /// Events the server surfaces to its owning actor.
@@ -20,7 +20,7 @@ pub enum RpcServerEvent {
         conn: StreamHandle,
         id: u64,
         method: String,
-        body: Value,
+        body: Bytes,
     },
     /// A client connected (useful for push-stream registration).
     ClientConnected { conn: StreamHandle },
@@ -113,14 +113,15 @@ impl RpcServer {
         conn: StreamHandle,
         id: u64,
         kind: &'static FlowKind,
-        body: &impl Serialize,
+        body: &(impl Body + ?Sized),
     ) {
         debug_assert!(
             kind.role == Role::Response,
             "RPC replies must use a Response-role flow kind, got {}",
             kind.name
         );
-        self.send_frame(ctx, conn, kind, || RpcFrame::response(id, body.to_json()));
+        let frame = encode_scoped(ctx, RpcKind::Response, id, "", body);
+        self.send_frame(ctx, conn, kind, frame);
     }
 
     /// Send an application error (same `Response` edge as [`reply`](Self::reply)).
@@ -137,27 +138,35 @@ impl RpcServer {
             "RPC replies must use a Response-role flow kind, got {}",
             kind.name
         );
-        self.send_frame(ctx, conn, kind, || RpcFrame::error(id, msg));
+        let frame = encode_scoped(ctx, RpcKind::Error, id, "", &ErrorText(msg));
+        self.send_frame(ctx, conn, kind, frame);
     }
 
-    /// Push an unsolicited frame (desired-state sync) to a connected
-    /// client; the kind's name is the wire method. Returns false if the
-    /// connection is gone.
+    /// Push one unsolicited frame (desired-state sync) to each of
+    /// `conns`; the kind's name is the wire method. The frame is encoded
+    /// once, and only if some connection is live; every live connection
+    /// gets the same bytes. Returns the connections it went to (gone ones
+    /// are skipped).
     pub fn push(
         &mut self,
         ctx: &mut Ctx<'_>,
-        conn: StreamHandle,
+        conns: &[StreamHandle],
         stream_id: u64,
         kind: &'static FlowKind,
-        body: &impl Serialize,
-    ) -> bool {
-        if !self.conns.contains_key(&conn) {
-            return false;
+        body: &(impl Body + ?Sized),
+    ) -> Vec<StreamHandle> {
+        let live: Vec<StreamHandle> = conns
+            .iter()
+            .copied()
+            .filter(|c| self.conns.contains_key(c))
+            .collect();
+        if !live.is_empty() {
+            let frame = encode_scoped(ctx, RpcKind::Push, stream_id, kind.name, body);
+            for &conn in &live {
+                self.send_frame(ctx, conn, kind, frame.clone());
+            }
         }
-        self.send_frame(ctx, conn, kind, || {
-            RpcFrame::push(stream_id, kind.name, body.to_json())
-        });
-        true
+        live
     }
 
     /// Handles of all live client connections.
@@ -170,15 +179,10 @@ impl RpcServer {
         ctx: &mut Ctx<'_>,
         conn: StreamHandle,
         kind: &'static FlowKind,
-        frame: impl FnOnce() -> RpcFrame,
+        bytes: Bytes,
     ) {
-        // `frame` converts the body, so its cost is charged to rpc.
-        let bytes = {
-            let _enc = ctx.profile_scope("rpc.encode");
-            encode_frame(&frame())
-        };
         // Reply/push edges are logical shard cut edges; they ride inside
-        // the stream payload, so shardscope samples them at encode time.
+        // the stream payload, so shardscope samples them on every send.
         ctx.shard_logical(kind.name, bytes.len());
         ctx.send_to(
             self.stack,

@@ -1,18 +1,22 @@
-//! Property test on the `Framer`: a stream of valid frames and corrupt
-//! bodies, cut at arbitrary points, reassembles into exactly the valid
-//! frames in order, counts every corrupt body, and leaves nothing
-//! buffered.
+//! Property test on the `Framer`: a stream of valid binary-envelope
+//! frames mixed with corrupt envelopes, cut at arbitrary points,
+//! reassembles into exactly the valid frames in order, counts every
+//! corrupt one, and leaves nothing buffered.
 
-use bytes::{BufMut, BytesMut};
-use magma_rpc::{encode_frame, Framer, RpcFrame};
+use bytes::{BufMut, Bytes, BytesMut};
+use magma_rpc::{encode_frame, Framer, RpcFrame, RpcKind};
 use proptest::prelude::*;
 use serde_json::json;
+
+/// Envelope bytes between the length prefix and the method name:
+/// `[u8 kind][u64 id][u8 method_len]`.
+const HEADER: usize = 1 + 8 + 1;
 
 /// One length-prefixed unit of the stream.
 #[derive(Debug, Clone)]
 enum Item {
     Good(RpcFrame),
-    /// A body with a correct length prefix that is not an `RpcFrame`.
+    /// A frame with a correct length prefix whose envelope is invalid.
     Corrupt(Vec<u8>),
 }
 
@@ -24,32 +28,53 @@ fn arb_frame() -> impl Strategy<Value = RpcFrame> {
         any::<u32>(),
         "[ a-z0-9\"\\\\]{0,40}",
     )
-        .prop_map(|(kind, id, method, n, s)| {
+        .prop_map(|(k, id, method, n, s)| {
             let body = json!({ "n": n, "s": s });
-            match kind {
-                0 => RpcFrame::request(id, &method, body),
-                1 => RpcFrame::response(id, body),
-                2 => RpcFrame::error(id, &s),
-                _ => RpcFrame::push(id, &method, body),
+            RpcFrame {
+                id,
+                kind: RpcKind::from_tag(k).unwrap(),
+                method,
+                body: Bytes::from(serde_json::to_vec(&body).unwrap()),
             }
         })
 }
 
-/// Bodies that can never decode: empty, not UTF-8, JSON of the wrong
-/// shape, and a real frame cut short.
+/// Encode `f` through the production path: a JSON body rendered into the
+/// frame buffer must come out as the same bytes.
+fn encode(f: &RpcFrame) -> Bytes {
+    let body: serde_json::Value = serde_json::from_slice(&f.body).unwrap();
+    encode_frame(f.kind, f.id, &f.method, &body)
+}
+
+/// Envelopes that can never parse: shorter than the fixed header, an
+/// unknown kind byte, a method length past the frame's end, and a method
+/// that is not UTF-8. Lengths are exact, so the stream stays in sync.
 fn arb_corrupt() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
-        Just(Vec::new()),
-        proptest::collection::vec(any::<u8>(), 0..40).prop_map(|mut b| {
-            b.insert(0, 0xFF);
-            b
+        proptest::collection::vec(any::<u8>(), 0..HEADER),
+        (4u8..=255, any::<u64>(), "[a-z]{0,8}", any::<u8>()).prop_map(|(k, id, m, b)| {
+            let mut v = vec![k];
+            v.put_u64(id);
+            v.put_u8(m.len() as u8);
+            v.put_slice(m.as_bytes());
+            v.push(b);
+            v
         }),
-        any::<u64>().prop_map(|id| format!("{{\"id\":{id}}}").into_bytes()),
-        "[0-9]{1,8}".prop_map(String::into_bytes),
-        (arb_frame(), any::<usize>()).prop_map(|(f, cut)| {
-            let enc = encode_frame(&f);
-            let body = &enc[4..];
-            body[..cut % body.len()].to_vec()
+        (0u8..4, any::<u64>(), "[a-z]{0,8}", 1u8..40).prop_map(|(k, id, m, over)| {
+            let mut v = vec![k];
+            v.put_u64(id);
+            v.put_u8((m.len() as u8).saturating_add(over));
+            v.put_slice(m.as_bytes());
+            v
+        }),
+        (0u8..4, any::<u64>(), "[a-z]{0,8}", 0x80u8..=0xFF).prop_map(|(k, id, m, bad)| {
+            let mut v = vec![k];
+            v.put_u64(id);
+            v.put_u8(m.len() as u8 + 1);
+            v.push(bad);
+            v.put_slice(m.as_bytes());
+            v.put_slice(b"{}");
+            v
         }),
     ]
 }
@@ -74,12 +99,12 @@ proptest! {
         for item in items {
             match item {
                 Item::Good(f) => {
-                    stream.extend_from_slice(&encode_frame(&f));
+                    stream.extend_from_slice(&encode(&f));
                     want.push(f);
                 }
-                Item::Corrupt(body) => {
-                    stream.put_u32(body.len() as u32);
-                    stream.put_slice(&body);
+                Item::Corrupt(frame) => {
+                    stream.put_u32(frame.len() as u32);
+                    stream.put_slice(&frame);
                     corrupt += 1;
                 }
             }

@@ -5,7 +5,7 @@
 use magma_net::{new_net, Endpoint, LinkProfile, NetStack, SockEvent};
 use magma_rpc::{RpcClient, RpcClientEvent, RpcServer, RpcServerEvent};
 use magma_sim::{downcast, Actor, Ctx, DelayClass, Event, FlowKind, Role, SimDuration, SimTime, World};
-use serde_json::json;
+use serde_json::{json, Value};
 
 // Test-local flow kinds for the pusher/subscriber pair.
 const HELLO: FlowKind = FlowKind {
@@ -53,10 +53,8 @@ impl Actor for Pusher {
             Event::Timer { tag: 1 } => {
                 self.seq += 1;
                 let conns: Vec<_> = self.server.clients().collect();
-                for c in conns {
-                    self.server
-                        .push(ctx, c, 1, &SYNC_TICK, &json!({ "seq": self.seq }));
-                }
+                self.server
+                    .push(ctx, &conns, 1, &SYNC_TICK, &json!({ "seq": self.seq }));
                 ctx.timer_in(SimDuration::from_millis(100), 1);
             }
             Event::Timer { .. } => {}
@@ -109,6 +107,7 @@ impl Subscriber {
             if let RpcClientEvent::Push { method, body, .. } = e {
                 assert_eq!(method, "sync.Tick");
                 let t = ctx.now();
+                let body: Value = magma_rpc::decode(ctx, &body).unwrap();
                 let seq = body["seq"].as_f64().unwrap();
                 ctx.metrics().record("push.seq", t, seq);
             }

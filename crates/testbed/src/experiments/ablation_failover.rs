@@ -14,7 +14,7 @@ use magma_agw::{AgwActor, AgwCheckpoint};
 use magma_net::NetStack;
 use magma_ran::TrafficModel;
 use magma_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]
 pub struct FailoverResult {
@@ -76,7 +76,7 @@ pub fn run(seed: u64) -> FailoverResult {
             .checkpoints
             .get(&agw.cfg.id)
             .expect("checkpoints are uploaded every second");
-        let checkpoint = AgwCheckpoint::from_json(state).expect("uploaded checkpoint decodes");
+        let checkpoint = AgwCheckpoint::decode(state).expect("uploaded checkpoint decodes");
         (checkpoint, orc8r.db.snapshot())
     };
     sc.world.restart(

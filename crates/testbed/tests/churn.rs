@@ -2,6 +2,7 @@
 //! Verifies the full detach path (NAS Detach → sessiond teardown →
 //! data-plane removal → IP release) leaks nothing over many cycles.
 
+use magma_agw::AgwCheckpoint;
 use magma_ran::{SectorModel, TrafficModel};
 use magma_sim::{SimDuration, SimTime};
 use magma_testbed::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
@@ -34,15 +35,37 @@ fn churn_does_not_leak_sessions_or_ips() {
     );
 
     // No leaks: active sessions and IP leases bounded by the fleet size.
-    let cp = sc.agws[0].handle.borrow().checkpoint.clone().unwrap();
+    // The checkpoint at 300 s was taken at the same instant as the fluid
+    // tick that published the live session and lease gauges.
+    let published = sc.agws[0].handle.borrow().checkpoint.clone().unwrap();
+    let cp = AgwCheckpoint::decode(&published).expect("published checkpoint decodes");
+    assert_eq!(cp.taken_at_us, 300_000_000);
     assert!(cp.sessions.len() <= 12, "sessions leaked: {}", cp.sessions.len());
     assert!(cp.pool.in_use() <= 12, "IP leases leaked: {}", cp.pool.in_use());
+    let gauge = |name: &str| sc.world.registry().gauge(name).unwrap() as usize;
+    let (live_sessions, live_leases) = (gauge("agw0.sessiond.sessions"), gauge("agw0.mobilityd.ips_in_use"));
 
     // The data plane sheds rules on detach too.
     assert!(
         sc.agws[0].handle.borrow().active_sessions <= 12,
         "pipeline session count bounded"
     );
+
+    // Restore-equivalence end to end: once the upload has landed (the
+    // backhaul RTT is milliseconds; the next checkpoint is at 301 s),
+    // orc8r holds exactly the bytes the AGW published, and they restore
+    // the AGW's session table and pool.
+    sc.world.run_until(SimTime::from_millis(300_500));
+    let stored = sc.orc8r.borrow().checkpoints.get("agw0").cloned().expect("uploaded");
+    assert_eq!(stored.as_ref(), published.as_ref(), "orc8r stores what the AGW sent");
+    let restored = AgwCheckpoint::decode(&stored).expect("stored checkpoint decodes");
+    assert_eq!(restored, cp);
+    assert_eq!(restored.sessions.len(), live_sessions, "every live session restored");
+    assert_eq!(restored.pool.in_use(), live_leases, "every live lease restored");
+    for s in restored.sessions.iter() {
+        assert_eq!(restored.pool.lookup(s.imsi), Some(s.ue_ip), "session keeps its lease");
+        assert_eq!(restored.sessions.by_ul_teid(s.ul_teid).map(|x| x.id), Some(s.id));
+    }
 }
 
 #[test]

@@ -9,12 +9,14 @@
 //! - [`radius`]: WiFi AAA
 //! - [`diameter`]: S6a federation with an external HSS
 //! - [`aka`]: EPS-AKA authentication vectors (Milenage-style, toy cipher)
+//! - [`cursor`]: bounds-checked reads/writes for hand-written state codecs
 //!
 //! All codecs are real byte-level implementations with strict decoding
 //! (truncation and bad values rejected), exercised by round-trip property
 //! tests in `tests/proptest_roundtrip.rs`.
 
 pub mod aka;
+pub mod cursor;
 pub mod diameter;
 pub mod error;
 pub mod gtp;

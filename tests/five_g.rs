@@ -66,6 +66,7 @@ fn gnb_attach_over_ngap_creates_5g_session() {
 
     // Sessions carry the 5G access technology.
     let cp = handle.borrow().checkpoint.clone().unwrap();
+    let cp = magma_agw::AgwCheckpoint::decode(&cp).unwrap();
     assert_eq!(cp.sessions.len(), 3);
     for s in cp.sessions.iter() {
         assert_eq!(s.tech, AccessTech::Nr5g);

@@ -133,6 +133,7 @@ fn path_switch_moves_downlink_tunnel() {
         .checkpoint
         .clone()
         .expect("checkpointing active");
+    let cp = magma_agw::AgwCheckpoint::decode(&cp).expect("checkpoint decodes");
     let session = cp.sessions.iter().next().expect("one session");
     assert_eq!(session.dl_teid, Teid(0xBEEF), "downlink repointed");
 }

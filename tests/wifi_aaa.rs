@@ -77,6 +77,7 @@ fn ap_authenticates_and_traffic_flows() {
 
     // The session is a WiFi session (no GTP) in the checkpoint.
     let cp = rig.handle.borrow().checkpoint.clone().unwrap();
+    let cp = magma_agw::AgwCheckpoint::decode(&cp).unwrap();
     assert_eq!(
         cp.sessions.iter().next().unwrap().tech,
         magma_agw::AccessTech::Wifi
